@@ -49,6 +49,11 @@ val distance : t -> int -> int -> float
 (** Euclidean distance between two PoPs: the link length ℓ of the cost
     model. *)
 
+val lengths : t -> float array
+(** Every {!distance} as one row-major n×n matrix (entry [i*n + j]), shared
+    with the context — read it, never write it. Routing and the cost fold
+    index it instead of calling {!distance} per pair. *)
+
 val spatial : t -> Cold_geom.Spatial.t
 (** The bucket-grid index over the PoP locations — k-nearest / radius
     queries for locality-aware candidate generation ({!Cold.Operators}). *)

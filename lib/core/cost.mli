@@ -38,27 +38,19 @@ val params : ?k0:float -> ?k1:float -> ?k2:float -> ?k3:float -> unit -> params
 (** Defaults: k0 = 10, k1 = 1, k2 = 1e-4, k3 = 0 — the paper's §6 baseline.
     Raises [Invalid_argument] on negative values. *)
 
-val evaluate :
-  ?workspace:Cold_net.Routing.workspace ->
-  params ->
-  Cold_context.Context.t ->
-  Cold_graph.Graph.t ->
-  float
+val evaluate : params -> Cold_context.Context.t -> Cold_graph.Graph.t -> float
 (** [evaluate p ctx g] is the total cost; [infinity] if [g] is disconnected
-    (traffic cannot be carried). Pure: depends only on arguments.
-    [?workspace] reuses routing scratch across calls (results are
-    bit-identical with and without it). *)
+    (traffic cannot be carried). Pure: depends only on arguments. It routes
+    every source through {!Cold_net.Routing.route_loads} in the calling
+    domain's scratch, builds no trees, and allocates only its result — a
+    fixed handful of words at any [n]. *)
 
 val evaluate_breakdown :
-  ?workspace:Cold_net.Routing.workspace ->
-  params ->
-  Cold_context.Context.t ->
-  Cold_graph.Graph.t ->
-  breakdown
+  params -> Cold_context.Context.t -> Cold_graph.Graph.t -> breakdown
 (** Like {!evaluate}, with per-term decomposition; every component is
     [infinity] when infeasible. The length-dependent terms are computed in
-    one fused pass over the links (each link's geometric length is queried
-    once, feeding both the k1 and k2 sums). *)
+    one fused pass over the links (each link's length is read once,
+    feeding both the k1 and k2 sums); {!evaluate_state} shares the fold. *)
 
 val state :
   ?multipath:bool ->

@@ -290,16 +290,7 @@ let run ?domains ?cache_slots ?seeds ?(incremental = true) ?repair ?locality
   if incremental then
     run_impl ?domains ?cache_slots ?seeds ?locality ?survivable settings
       ~eval:(eval_incremental ?repair params ctx) ctx rng
-  else begin
-    (* From-scratch evaluation reuses the calling domain's routing scratch —
-       the load matrix and Dijkstra buffers — instead of allocating ~n²
-       floats per candidate. Cost consumes the loads before returning, so
-       the workspace-aliasing caveat never bites, and outputs are
-       bit-identical with or without the reuse. *)
-    let n = Context.n ctx in
+  else
     run_custom ?domains ?cache_slots ?seeds ?locality ?survivable settings
-      ~objective:(fun g ->
-        Cost.evaluate ~workspace:(Cold_net.Routing.domain_workspace ~n) params
-          ctx g)
+      ~objective:(fun g -> Cost.evaluate params ctx g)
       ctx rng
-  end

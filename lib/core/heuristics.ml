@@ -18,17 +18,6 @@ let name = function
 let all ~permutations =
   [ Random_greedy { permutations }; Complete; Mst_hubs; Greedy_attachment ]
 
-(* Every heuristic is a loop of full evaluations over trial topologies —
-   best_star alone costs n of them, the promotion drivers O(n) per step —
-   so they all route through the calling domain's reusable workspace
-   rather than allocating an n²-float load matrix per trial. Cost consumes
-   the loads before returning (aliasing never escapes) and the floats are
-   bit-identical, per Routing's workspace contract. *)
-let eval_full params ctx g =
-  Cost.evaluate
-    ~workspace:(Cold_net.Routing.domain_workspace ~n:(Context.n ctx))
-    params ctx g
-
 let mst_topology ctx =
   Mst.mst_graph ~n:(Context.n ctx) ~weight:(fun u v -> Context.distance ctx u v)
 
@@ -94,7 +83,7 @@ let best_star params ctx =
     let hubs = Array.make n false in
     hubs.(hub) <- true;
     let g = build_clique_style ctx hubs in
-    let c = eval_full params ctx g in
+    let c = Cost.evaluate params ctx g in
     match !best with
     | None -> best := Some (g, c)
     | Some (_, bc) -> if c < bc then best := Some (g, c)
@@ -123,7 +112,7 @@ let greedy_attach params ctx hubs inter_edges new_hub =
       (fun t ->
         let trial_edges = (min new_hub t, max new_hub t) :: edges in
         let g = build_with_edges ctx hubs trial_edges in
-        let c = eval_full params ctx g in
+        let c = Cost.evaluate params ctx g in
         match !best with
         | None -> best := Some (t, c)
         | Some (_, bc) -> if c < bc then best := Some (t, c))
@@ -136,16 +125,28 @@ let greedy_attach params ctx hubs inter_edges new_hub =
   in
   add_links inter_edges infinity !targets
 
+(* The hub of the best single-hub star: its max-degree node. *)
+let star_hub star =
+  let n = Graph.node_count star in
+  let best = ref 0 in
+  for v = 1 to n - 1 do
+    if Graph.degree star v > Graph.degree star !best then best := v
+  done;
+  !best
+
 (* The generic driver: repeatedly promote the leaf whose promotion reduces
-   cost the most, using [promote] to produce (graph, cost, new inter-hub
-   edges) for a candidate. Stops when no promotion helps. *)
-let drive params ctx ~initial_hub ~wire =
+   cost the most, using [wire] to produce (graph, cost, new inter-hub
+   edges) for a candidate. Stops when no promotion helps. It starts from
+   the best star — rebuilt from its hub, the very same graph, so its known
+   cost stands in for a re-evaluation — and only ever accepts a strictly
+   cheaper design, so it never returns one dearer than the star. *)
+let drive ctx ~star:(star, star_cost) ~wire =
   let n = Context.n ctx in
   let hubs = Array.make n false in
-  hubs.(initial_hub) <- true;
+  hubs.(star_hub star) <- true;
   let inter_edges = ref [] in
   let current = ref (build_with_edges ctx hubs !inter_edges) in
-  let current_cost = ref (eval_full params ctx !current) in
+  let current_cost = ref star_cost in
   let improved = ref true in
   while !improved do
     improved := false;
@@ -171,53 +172,43 @@ let drive params ctx ~initial_hub ~wire =
   done;
   (!current, !current_cost)
 
-(* The hub of the best single-hub star: its max-degree node. *)
-let star_hub star =
-  let n = Graph.node_count star in
-  let best = ref 0 in
-  for v = 1 to n - 1 do
-    if Graph.degree star v > Graph.degree star !best then best := v
-  done;
-  !best
-
-let run_complete params ctx =
-  let (star, star_cost) = best_star params ctx in
+(* Each algorithm takes the best star, graph and cost, from its caller:
+   [run] computes it per call, [seed_set] once for all four. *)
+let run_complete params ctx ~star =
   let wire hubs _edges _candidate =
     let g = build_clique_style ctx hubs in
     (* Clique wiring is recomputed wholesale; edge list unused downstream. *)
-    (g, eval_full params ctx g, [])
+    (g, Cost.evaluate params ctx g, [])
   in
-  let (g, c) = drive params ctx ~initial_hub:(star_hub star) ~wire in
-  if c <= star_cost then (g, c) else (star, star_cost)
+  drive ctx ~star ~wire
 
-let run_mst params ctx =
-  let (star, star_cost) = best_star params ctx in
+let run_mst params ctx ~star =
   let wire hubs _edges _candidate =
     let g = build_mst_style ctx hubs in
-    (g, eval_full params ctx g, [])
+    (g, Cost.evaluate params ctx g, [])
   in
-  let (g, c) = drive params ctx ~initial_hub:(star_hub star) ~wire in
-  if c <= star_cost then (g, c) else (star, star_cost)
+  drive ctx ~star ~wire
 
-let run_greedy_attachment params ctx =
-  let (star, star_cost) = best_star params ctx in
+let run_greedy_attachment params ctx ~star =
   let wire hubs edges candidate =
     let (edges', c) = greedy_attach params ctx hubs edges candidate in
     (build_with_edges ctx hubs edges', c, edges')
   in
-  let (g, c) = drive params ctx ~initial_hub:(star_hub star) ~wire in
-  if c <= star_cost then (g, c) else (star, star_cost)
+  drive ctx ~star ~wire
 
-let run_random_greedy ~permutations params ctx rng =
+(* Every permutation starts from the star, whose cost is known, and ends on
+   the graph its accepted trials built, whose cost is the last accepted
+   trial's (or the star's): neither is evaluated again. The star graph
+   stays the caller's; a permutation that never beats it returns a copy. *)
+let run_random_greedy ~permutations params ctx rng ~star:(star, star_cost) =
   let n = Context.n ctx in
-  let (star, star_cost) = best_star params ctx in
   let initial_hub = star_hub star in
-  let best_overall = ref (star, star_cost) in
+  let best_overall = ref (Graph.copy star, star_cost) in
   for _ = 1 to max 1 permutations do
     let hubs = Array.make n false in
     hubs.(initial_hub) <- true;
     let inter_edges = ref [] in
-    let cost = ref (eval_full params ctx (build_with_edges ctx hubs !inter_edges)) in
+    let cost = ref star_cost in
     let order = Dist.permutation rng n in
     Array.iter
       (fun candidate ->
@@ -231,21 +222,30 @@ let run_random_greedy ~permutations params ctx rng =
           else hubs.(candidate) <- false
         end)
       order;
-    let g = build_with_edges ctx hubs !inter_edges in
-    let c = eval_full params ctx g in
-    if c < snd !best_overall then best_overall := (g, c)
+    if !cost < snd !best_overall then
+      best_overall := (build_with_edges ctx hubs !inter_edges, !cost)
   done;
   !best_overall
 
-let run alg params ctx rng =
-  if Context.n ctx < 2 then invalid_arg "Heuristics.run: need at least 2 PoPs";
+let check_size ctx =
+  if Context.n ctx < 2 then invalid_arg "Heuristics.run: need at least 2 PoPs"
+
+let run_from ~star alg params ctx rng =
   match alg with
-  | Complete -> run_complete params ctx
-  | Mst_hubs -> run_mst params ctx
-  | Greedy_attachment -> run_greedy_attachment params ctx
-  | Random_greedy { permutations } -> run_random_greedy ~permutations params ctx rng
+  | Complete -> run_complete params ctx ~star
+  | Mst_hubs -> run_mst params ctx ~star
+  | Greedy_attachment -> run_greedy_attachment params ctx ~star
+  | Random_greedy { permutations } ->
+    run_random_greedy ~permutations params ctx rng ~star
+
+let run alg params ctx rng =
+  check_size ctx;
+  run_from ~star:(best_star params ctx) alg params ctx rng
 
 let seed_set ?(permutations = 10) params ctx rng =
-  let (star, _) = best_star params ctx in
-  star
-  :: List.map (fun alg -> fst (run alg params ctx rng)) (all ~permutations)
+  let star = best_star params ctx in
+  check_size ctx;
+  fst star
+  :: List.map
+       (fun alg -> fst (run_from ~star alg params ctx rng))
+       (all ~permutations)

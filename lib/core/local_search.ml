@@ -134,13 +134,9 @@ let run ?(incremental = true) ?repair ?initial ?locality settings params ctx rng
       evaluations = !evaluations }
   end
   else begin
-    (* Reusing the calling domain's routing workspace drops the ~n²-float
-       load-matrix allocation per evaluation; Cost consumes the loads before
-       returning, so aliasing is safe and every cost float is unchanged. *)
     let evaluate g =
       incr evaluations;
-      Cost.evaluate ~workspace:(Cold_net.Routing.domain_workspace ~n) params
-        ctx g
+      Cost.evaluate params ctx g
     in
     (* Double buffer: [current] and [scratch] swap on accept, so the whole
        trajectory allocates two graphs total (plus one copy per new best)

@@ -1,23 +1,22 @@
 type t = { n : int; data : float array; index : Spatial.t }
-(* Upper triangle, row-major: entry (i, j) with i < j lives at
-   [i*n - i*(i+1)/2 + (j - i - 1)]. [index] is the bucket grid over the same
-   points: distance *lookups* stay O(1) array reads, nearest-neighbour
-   *searches* go through the grid instead of scanning a whole row. *)
-
-let index t i j =
-  let i, j = if i < j then (i, j) else (j, i) in
-  (i * t.n) - (i * (i + 1) / 2) + (j - i - 1)
+(* Row-major n×n with both triangles and a zero diagonal: entry (i, j) lives
+   at [i*n + j], so a lookup is one read and routing can index the matrix
+   directly. Each pair's distance is computed once and stored twice.
+   [index] is the bucket grid over the same points: distance *lookups* stay
+   O(1) array reads, nearest-neighbour *searches* go through the grid
+   instead of scanning a whole row. *)
 
 let of_points pts =
   let n = Array.length pts in
-  let data = Array.make (n * (n - 1) / 2) 0.0 in
-  let t = { n; data; index = Spatial.create pts } in
+  let data = Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      data.(index t i j) <- Point.distance pts.(i) pts.(j)
+      let d = Point.distance pts.(i) pts.(j) in
+      data.((i * n) + j) <- d;
+      data.((j * n) + i) <- d
     done
   done;
-  t
+  { n; data; index = Spatial.create pts }
 
 let size t = t.n
 
@@ -25,7 +24,9 @@ let spatial t = t.index
 
 let get t i j =
   if i < 0 || j < 0 || i >= t.n || j >= t.n then invalid_arg "Distmat.get";
-  if i = j then 0.0 else t.data.(index t i j)
+  t.data.((i * t.n) + j)
+
+let matrix t = t.data
 
 let max_distance t = Array.fold_left Float.max 0.0 t.data
 

@@ -1,8 +1,8 @@
 (** Symmetric Euclidean distance matrices over point sets.
 
     Cost evaluation queries pairwise distances millions of times per GA run,
-    so distances are precomputed once per context into a flat upper-triangular
-    float array. *)
+    so distances are precomputed once per context into a flat row-major
+    n×n float array. *)
 
 type t
 
@@ -15,6 +15,11 @@ val size : t -> int
 val get : t -> int -> int -> float
 (** [get d i j] is the distance between points [i] and [j]; [get d i i = 0].
     Raises [Invalid_argument] on out-of-range indices. *)
+
+val matrix : t -> float array
+(** The row-major n×n matrix behind {!get}: entry [i*n + j] is [get d i j].
+    Shared, not copied — hot loops read it without a call per pair; never
+    write to it. *)
 
 val max_distance : t -> float
 (** Largest pairwise distance (0 for fewer than 2 points). *)

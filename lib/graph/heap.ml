@@ -50,24 +50,39 @@ let rec sift_down h i =
     sift_down h smallest
   end
 
-let push h ~priority v =
-  if h.len = Array.length h.prio then grow h;
-  h.prio.(h.len) <- priority;
+(* Both pushes store the priority themselves and then hand only ints to
+   [append]: a float argument to a function that is not inlined is boxed. *)
+let append h v =
   h.vert.(h.len) <- v;
   h.len <- h.len + 1;
   sift_up h (h.len - 1)
 
+let push h ~priority v =
+  if h.len = Array.length h.prio then grow h;
+  h.prio.(h.len) <- priority;
+  append h v
+
+let push_key h ~keys v =
+  if h.len = Array.length h.prio then grow h;
+  h.prio.(h.len) <- keys.(v);
+  append h v
+
+let pop h =
+  if h.len = 0 then invalid_arg "Heap.pop: empty heap";
+  let v = h.vert.(0) in
+  h.len <- h.len - 1;
+  if h.len > 0 then begin
+    h.prio.(0) <- h.prio.(h.len);
+    h.vert.(0) <- h.vert.(h.len);
+    sift_down h 0
+  end;
+  v
+
 let pop_min h =
   if h.len = 0 then None
   else begin
-    let p = h.prio.(0) and v = h.vert.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.prio.(0) <- h.prio.(h.len);
-      h.vert.(0) <- h.vert.(h.len);
-      sift_down h 0
-    end;
-    Some (p, v)
+    let p = h.prio.(0) in
+    Some (p, pop h)
   end
 
 (* --- indexed variant ---------------------------------------------------------

@@ -27,6 +27,17 @@ val size : t -> int
 val push : t -> priority:float -> int -> unit
 (** [push h ~priority v] inserts vertex [v] with [priority]. *)
 
+val push_key : t -> keys:float array -> int -> unit
+(** [push_key h ~keys v] is [push h ~priority:keys.(v) v]. The priority is
+    read inside this module, so the call passes no float across a module
+    boundary and boxes nothing — the form Dijkstra uses, whose pushed
+    priority is always the vertex's just-lowered distance. *)
+
+val pop : t -> int
+(** [pop h] removes the smallest [(priority, vertex)] entry and returns its
+    vertex alone: no option, tuple or boxed float is allocated. Raises
+    [Invalid_argument] on an empty heap. *)
+
 val pop_min : t -> (float * int) option
 (** [pop_min h] removes and returns the entry with the smallest priority
     (ties broken by smaller vertex id, making consumers deterministic). *)

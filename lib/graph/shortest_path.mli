@@ -14,27 +14,66 @@ type tree = {
   order : int array;  (** Vertices in settling order (ascending distance); length = number of reachable vertices. *)
 }
 
-type workspace
-(** Reusable scratch for repeated runs: the settled flags, the heap and the
-    settling-order staging buffer — everything a run consumes but does not
-    return. The [dist]/[pred] arrays of a {!tree} are always freshly
-    allocated (callers retain trees), so a tree outlives the workspace that
-    produced it and results are bit-identical with or without one. A
-    workspace is single-threaded state: never share one across domains. *)
+(** {2 The per-source step}
 
-val workspace : n:int -> workspace
-(** [workspace ~n] allocates scratch for graphs on [n] vertices. *)
+    One Dijkstra run that allocates nothing: it writes distances,
+    predecessors and settle order into the calling domain's {!scratch},
+    reading link lengths from a float array laid out like the CSR view's
+    [targets]. {!dijkstra} is this step plus a copy-out, and full routing
+    ([Cold_net.Routing]) runs it once per source, so every shortest-path
+    tree in the library comes from the same code. *)
 
-val domain_workspace : n:int -> workspace
-(** The calling domain's private workspace (domain-local storage), created
-    on first use and rebuilt when [n] changes — the way evaluation fan-outs
-    over a {e Par} pool get one reusable workspace per domain without
-    threading state through task closures. *)
+type scratch
+(** One domain's buffers: distances, predecessors and settle order, the
+    settled flags, the heap, and a CSR view with its per-slot link lengths.
+    What {!view}, {!edge_lengths} and {!settle} write stays valid only
+    until the next use of the scratch on the same domain — {!dijkstra},
+    {!apsp_lengths}, and routing, cost and incremental evaluation all use
+    it — so callers copy out what they keep. *)
+
+val scratch : n:int -> scratch
+(** [scratch ~n] is the calling domain's scratch for [n]-vertex graphs
+    (domain-local storage), created on first use and rebuilt when [n]
+    changes. A scratch never moves between domains, so tasks of a [Par]
+    pool need no state threaded through their closures. *)
+
+val view : scratch -> ?adj:int array array -> Graph.t -> Graph.Csr.t
+(** [view sc g] snapshots [g] into the scratch's CSR buffer — from [adj]
+    (the graph's {!Graph.adjacency_arrays}, possibly patched) when given,
+    which costs O(n + m) instead of the O(n²) row scan. Neighbours are
+    ascending either way. *)
+
+val edge_lengths :
+  scratch -> Graph.Csr.t -> length:(int -> int -> float) -> float array
+(** [edge_lengths sc csr ~length] tabulates [length u v] for every CSR slot
+    into the scratch: entry [k] of row [u] is the length of the link to
+    [csr.targets.(k)]. Each call of [length] returns a boxed float, so
+    callers that route many sources over one graph tabulate once. *)
+
+val edge_lengths_of_matrix : scratch -> Graph.Csr.t -> float array -> float array
+(** Like {!edge_lengths}, reading a row-major n×n length matrix instead of
+    calling a function: allocates nothing. *)
+
+val settle :
+  scratch -> Graph.Csr.t -> lengths:float array -> source:int -> int
+(** [settle sc csr ~lengths ~source] runs Dijkstra from [source] over [csr]
+    with per-slot [lengths] (see {!edge_lengths}) and returns the number of
+    settled vertices; the tree is in {!settled_tree}. The floats and the
+    settle order are exactly {!dijkstra}'s. *)
+
+val settled_tree : scratch -> tree
+(** The scratch's result buffers as a tree: [dist] and [pred] as {!dijkstra}
+    returns them, and [order] full length [n], of which the prefix of the
+    length the last {!settle} returned is the settle order. Overwritten by
+    the next settle. *)
+
+val copy_tree : scratch -> int -> tree
+(** [copy_tree sc count] is a fresh copy of the last settle's tree, its
+    order cut to [count] — the tree {!dijkstra} would have returned. *)
 
 val dijkstra :
   ?adj:int array array ->
   ?csr:Graph.Csr.t ->
-  ?workspace:workspace ->
   Graph.t ->
   length:(int -> int -> float) ->
   source:int ->
@@ -45,16 +84,13 @@ val dijkstra :
 
     [?adj] accepts the graph's {!Graph.adjacency_arrays} and [?csr] a
     {!Graph.Csr} view ([csr] wins when both are given): callers running
-    many sources over one topology (all-pairs routing, the GA's cost
-    evaluation) precompute one and replace the O(n) adjacency-row scan
-    per settled vertex with an O(degree) sweep — CSR additionally keeps
-    all neighbour ids in two flat cache-friendly arrays. The view must
-    describe [g] exactly; neighbour visit order (ascending) and hence every
-    tie-break is identical across all three paths.
+    many sources over one topology pass a view built once instead of the
+    O(n²) row scan per call. The view must describe [g] exactly; neighbour
+    visit order (ascending) and hence every tie-break is identical across
+    all three paths.
 
-    [?workspace] reuses scratch buffers across runs (see {!workspace});
-    output is bit-identical with and without it. Raises [Invalid_argument]
-    if the workspace was built for a different vertex count. *)
+    It is {!view}, {!edge_lengths}, {!settle} and {!copy_tree} on the
+    calling domain's scratch: the returned tree shares nothing with it. *)
 
 val canonical : tree -> bool
 (** [canonical t] is the {e repair certificate}: [true] iff every settled

@@ -257,7 +257,7 @@ let reset_scratch st rs =
   Array.fill rs.mark 0 st.n false;
   Array.fill rs.settled 0 st.n false
 
-(* One relaxation of the repair pass, mirroring Shortest_path.dijkstra's
+(* One relaxation of the repair pass, mirroring Shortest_path.settle's
    relax bit for bit: [w] settled at distance [d] offers neighbour [x] the
    path [d +. length w x]. Strict improvements move the frontier
    (decrease-key). An exact tie lowers the predecessor id exactly when the
@@ -565,17 +565,19 @@ let retarget st target =
 let refresh st =
   if st.dirty_count > 0 then begin
     (* The adjacency snapshot is built once and then patched per flip, so
-       consulting it is always cheaper than the graph's own row scans; the
-       trees are bit-identical either way (see Shortest_path.dijkstra). *)
+       a view built from it is cheaper than the graph's own row scan; the
+       trees are bit-identical either way (see Shortest_path.view). One
+       view and one length table serve every dirty source. *)
     refresh_adj st;
-    let adj = Some st.adj in
-    let ws = Shortest_path.domain_workspace ~n:st.n in
+    let sp = Shortest_path.scratch ~n:st.n in
+    let csr = Shortest_path.view sp ~adj:st.adj st.g in
+    let lengths = Shortest_path.edge_lengths sp csr ~length:st.length in
     for s = 0 to st.n - 1 do
       if st.dirty.(s) then begin
         touch st s;
         st.trees.(s) <-
-          Shortest_path.dijkstra ?adj ~workspace:ws st.g ~length:st.length
-            ~source:s;
+          Shortest_path.copy_tree sp
+            (Shortest_path.settle sp csr ~lengths ~source:s);
         st.canon.(s) <- Shortest_path.canonical st.trees.(s);
         st.dirty.(s) <- false;
         st.recomputed <- st.recomputed + 1

@@ -41,7 +41,7 @@
     annealing maps onto this directly.
 
     Not thread-safe: one [t] belongs to one domain at a time. Internal
-    scratch uses {!Shortest_path.domain_workspace}, so a [t] may migrate
+    scratch uses {!Shortest_path.scratch}, so a [t] may migrate
     between domains between calls (as GA members do under a Par pool). *)
 
 type t

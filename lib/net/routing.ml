@@ -15,150 +15,185 @@ let of_parts ~n ~matrix ~trees =
     invalid_arg "Routing.of_parts";
   { n; matrix; trees }
 
-(* Scratch reused across route calls: the load matrix, the subtree
-   accumulator and the inner Dijkstra workspace. The trees of a [loads] are
-   always freshly allocated, but with a workspace the returned matrix
-   ALIASES the workspace buffer — see the .mli caveat. *)
-type workspace = {
-  w_n : int;
-  w_matrix : float array;
-  w_subtree : float array;
-  w_sp : Shortest_path.workspace;
-  (* CSR adjacency buffer, recycled across route calls: Csr.of_graph ?reuse
-     rewrites it in place whenever the arrays still fit. *)
-  mutable w_csr : Graph.Csr.t option;
+(* One domain's accumulation buffers: the load matrix a tree-less pass
+   writes, the subtree accumulator and one source's pair-demand row. *)
+type scratch = {
+  sn : int;
+  s_matrix : float array;
+  s_subtree : float array;
+  s_pair : float array;
 }
 
-let workspace ~n =
-  if n < 0 then invalid_arg "Routing.workspace";
-  {
-    w_n = n;
-    w_matrix = Array.make (n * n) 0.0;
-    w_subtree = Array.make (max n 1) 0.0;
-    w_sp = Shortest_path.workspace ~n;
-    w_csr = None;
-  }
-
-let dls_workspace : workspace option Domain.DLS.key =
+let dls_scratch : scratch option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let domain_workspace ~n =
-  match Domain.DLS.get dls_workspace with
-  | Some ws when ws.w_n = n -> ws
+let scratch ~n =
+  match Domain.DLS.get dls_scratch with
+  | Some rs when rs.sn = n -> rs
   | _ ->
-    let ws = workspace ~n in
-    Domain.DLS.set dls_workspace (Some ws);
-    ws
+    let rs =
+      {
+        sn = n;
+        s_matrix = Array.make (n * n) 0.0;
+        s_subtree = Array.make (max n 1) 0.0;
+        s_pair = Array.make (max n 1) 0.0;
+      }
+    in
+    Domain.DLS.set dls_scratch (Some rs);
+    rs
 
 let check_routable ~tm ~dist ~source =
-  (* Every demand from [source] must be routable. *)
+  (* Every demand from [source] must be routable. The distance test comes
+     first, so demands are only looked up for unreached destinations. *)
   let n = Gravity.size tm in
   for d = 0 to n - 1 do
-    if Gravity.demand tm source d > 0.0 && Float.equal dist.(d) infinity then
+    if Float.equal dist.(d) infinity && Gravity.demand tm source d > 0.0 then
       raise Disconnected
+  done
+
+(* What an ECMP split needs beyond the tree: the distances, a neighbour
+   view and the length function. *)
+type ecmp = {
+  e_dist : float array;
+  e_csr : Graph.Csr.t option;
+  e_adj : int array array option;
+  e_length : int -> int -> float;
+}
+
+let[@inline] add_load matrix n u v w =
+  matrix.((u * n) + v) <- matrix.((u * n) + v) +. w;
+  matrix.((v * n) + u) <- matrix.((u * n) + v)
+
+(* ECMP: every neighbour on a shortest path shares [v]'s subtree equally.
+   CSR segments and adjacency rows enumerate the same neighbours in the
+   same ascending order, so the accumulated [preds] list — and every
+   downstream float — is identical either way. *)
+let split_ecmp e ~matrix ~subtree ~n ~pred ~source v =
+  let dist = e.e_dist and length = e.e_length in
+  let on_path u =
+    dist.(u) +. length u v <= dist.(v) +. (1e-9 *. (1.0 +. dist.(v)))
+    && dist.(u) < dist.(v)
+  in
+  let preds =
+    match e.e_csr with
+    | Some c ->
+      Graph.Csr.fold_neighbors c v
+        (fun acc u -> if on_path u then u :: acc else acc)
+        []
+    | None ->
+      (match e.e_adj with
+      | Some neighbours ->
+        Array.fold_left
+          (fun acc u -> if on_path u then u :: acc else acc)
+          [] neighbours.(v)
+      | None -> invalid_arg "Routing.accumulate: multipath needs ~adj")
+  in
+  (* Degenerate geometries (zero-length links) can leave the strict
+     distance test empty; fall back to the tree predecessor. *)
+  let preds = if preds = [] then [ pred.(v) ] else preds in
+  let share = subtree.(v) /. float_of_int (List.length preds) in
+  List.iter
+    (fun u ->
+      add_load matrix n u v share;
+      if u <> source then subtree.(u) <- subtree.(u) +. share)
+    preds
+
+(* The one accumulation. Reverse settling order: children are processed
+   before parents, so each vertex's inflow is complete when it is pushed
+   one hop towards [source]. Demands s→d and d→s are both accumulated here
+   ([pair.(base + d)] is their sum), and every unordered pair is counted
+   once, at its smaller endpoint's tree, through the [v > source] filter.
+   The single-path case allocates nothing. *)
+let accumulate_order ~ecmp ~matrix ~subtree ~n ~pair ~base ~pred ~order ~count
+    ~source =
+  Array.fill subtree 0 n 0.0;
+  for i = count - 1 downto 0 do
+    let v = order.(i) in
+    if v <> source then begin
+      if v > source then subtree.(v) <- subtree.(v) +. pair.(base + v);
+      if subtree.(v) > 0.0 then
+        match ecmp with
+        | Some e -> split_ecmp e ~matrix ~subtree ~n ~pred ~source v
+        | None ->
+          let p = pred.(v) in
+          add_load matrix n p v subtree.(v);
+          if p <> source then subtree.(p) <- subtree.(p) +. subtree.(v)
+    end
   done
 
 let accumulate ?adj ?csr ?pair_demands ~multipath ~length ~tm ~matrix ~subtree
     ~n tree ~source =
-  let s = source in
-  let dist = tree.Shortest_path.dist in
-  let add_load u v w =
-    matrix.((u * n) + v) <- matrix.((u * n) + v) +. w;
-    matrix.((v * n) + u) <- matrix.((u * n) + v)
-  in
-  let pair_demand d =
+  let (pair, base) =
     match pair_demands with
-    | Some pd -> pd.((s * n) + d)
-    | None -> Gravity.pair_demand tm s d
+    | Some pd -> (pd, source * n)
+    | None ->
+      let row = Array.make (max n 1) 0.0 in
+      Gravity.pair_demand_row tm source row;
+      (row, 0)
   in
-  Array.fill subtree 0 n 0.0;
-  let order = tree.Shortest_path.order in
-  (* Reverse settling order: children are processed before parents, so each
-     vertex's inflow is complete when we push it one hop towards [s].
-     Demands s→d and d→s are both accumulated here (pair_demand), and the
-     outer loop runs over unordered pairs once via d > s filtering. *)
-  for i = Array.length order - 1 downto 0 do
-    let v = order.(i) in
-    if v <> s then begin
-      if v > s then subtree.(v) <- subtree.(v) +. pair_demand v;
-      if subtree.(v) > 0.0 then begin
-        if multipath then begin
-          (* ECMP: every neighbour on a shortest path shares equally. *)
-          let on_path u =
-            dist.(u) +. length u v <= dist.(v) +. (1e-9 *. (1.0 +. dist.(v)))
-            && dist.(u) < dist.(v)
-          in
-          (* CSR segments and adjacency rows enumerate the same neighbours
-             in the same ascending order, so the accumulated [preds] list —
-             and every downstream float — is identical either way. *)
-          let preds =
-            match csr with
-            | Some c ->
-              Graph.Csr.fold_neighbors c v
-                (fun acc u -> if on_path u then u :: acc else acc)
-                []
-            | None ->
-              (match adj with
-              | Some neighbours ->
-                Array.fold_left
-                  (fun acc u -> if on_path u then u :: acc else acc)
-                  [] neighbours.(v)
-              | None -> invalid_arg "Routing.accumulate: multipath needs ~adj")
-          in
-          (* Degenerate geometries (zero-length links) can leave the strict
-             distance test empty; fall back to the tree predecessor. *)
-          let preds = if preds = [] then [ tree.Shortest_path.pred.(v) ] else preds in
-          let share = subtree.(v) /. float_of_int (List.length preds) in
-          List.iter
-            (fun u ->
-              add_load u v share;
-              if u <> s then subtree.(u) <- subtree.(u) +. share)
-            preds
-        end
-        else begin
-          let p = tree.Shortest_path.pred.(v) in
-          add_load p v subtree.(v);
-          if p <> s then subtree.(p) <- subtree.(p) +. subtree.(v)
-        end
-      end
-    end
+  let dist = tree.Shortest_path.dist and order = tree.Shortest_path.order in
+  let ecmp =
+    if multipath then
+      Some { e_dist = dist; e_csr = csr; e_adj = adj; e_length = length }
+    else None
+  in
+  accumulate_order ~ecmp ~matrix ~subtree ~n ~pair ~base
+    ~pred:tree.Shortest_path.pred ~order ~count:(Array.length order) ~source
+
+(* The per-source step over every source, sources in order 0..n-1: settle
+   into the domain's Dijkstra scratch, check routability (only a partial
+   settle can strand a demand), accumulate into [matrix]. [trees], when
+   non-empty, receives a copy of each tree. *)
+let pass sp (csr : Graph.Csr.t) ~lengths ~tm ~ecmp ~matrix ~trees =
+  let n = Graph.Csr.node_count csr in
+  let rs = scratch ~n in
+  let t = Shortest_path.settled_tree sp in
+  Array.fill matrix 0 (n * n) 0.0;
+  for s = 0 to n - 1 do
+    let count = Shortest_path.settle sp csr ~lengths ~source:s in
+    if count < n then check_routable ~tm ~dist:t.Shortest_path.dist ~source:s;
+    Gravity.pair_demand_row tm s rs.s_pair;
+    accumulate_order ~ecmp ~matrix ~subtree:rs.s_subtree ~n ~pair:rs.s_pair
+      ~base:0 ~pred:t.Shortest_path.pred ~order:t.Shortest_path.order ~count
+      ~source:s;
+    if Array.length trees > 0 then trees.(s) <- Shortest_path.copy_tree sp count
   done
 
-let route ?(multipath = false) ?workspace g ~length ~tm =
+let route_loads sp csr ~lengths ~tm =
+  let n = Graph.Csr.node_count csr in
+  if Gravity.size tm <> n then invalid_arg "Routing.route_loads: size mismatch";
+  let matrix = (scratch ~n).s_matrix in
+  pass sp csr ~lengths ~tm ~ecmp:None ~matrix ~trees:[||];
+  matrix
+
+let route ?(multipath = false) g ~length ~tm =
   let n = Graph.node_count g in
   if Gravity.size tm <> n then invalid_arg "Routing.route: size mismatch";
-  let (matrix, subtree, sp) =
-    match workspace with
-    | Some ws ->
-      if ws.w_n <> n then invalid_arg "Routing.route: workspace size";
-      Array.fill ws.w_matrix 0 (n * n) 0.0;
-      (ws.w_matrix, ws.w_subtree, Some ws.w_sp)
-    | None -> (Array.make (n * n) 0.0, Array.make (max n 1) 0.0, None)
+  let sp = Shortest_path.scratch ~n in
+  let csr = Shortest_path.view sp g in
+  let lengths = Shortest_path.edge_lengths sp csr ~length in
+  let ecmp =
+    if multipath then
+      Some
+        {
+          e_dist = (Shortest_path.settled_tree sp).Shortest_path.dist;
+          e_csr = Some csr;
+          e_adj = None;
+          e_length = length;
+        }
+    else None
   in
-  (* One flat CSR materialization serves all n single-source trees (and,
-     under a workspace, recycles the previous call's arrays). *)
-  let csr =
-    match workspace with
-    | Some ws ->
-      let c = Graph.Csr.of_graph ?reuse:ws.w_csr g in
-      ws.w_csr <- Some c;
-      c
-    | None -> Graph.Csr.of_graph g
-  in
-  let trees =
-    Array.init n (fun s ->
-        Shortest_path.dijkstra ~csr ?workspace:sp g ~length ~source:s)
-  in
-  for s = 0 to n - 1 do
-    let tree = trees.(s) in
-    check_routable ~tm ~dist:tree.Shortest_path.dist ~source:s;
-    accumulate ~csr ~multipath ~length ~tm ~matrix ~subtree ~n tree ~source:s
-  done;
+  let matrix = Array.make (n * n) 0.0 in
+  let empty = { Shortest_path.dist = [||]; pred = [||]; order = [||] } in
+  let trees = Array.make n empty in
+  pass sp csr ~lengths ~tm ~ecmp ~matrix ~trees;
   { n; matrix; trees }
 
 let load ld u v =
   if u < 0 || v < 0 || u >= ld.n || v >= ld.n then invalid_arg "Routing.load";
   ld.matrix.((u * ld.n) + v)
+
+let matrix ld = ld.matrix
 
 let fold ld f init =
   let acc = ref init in

@@ -20,25 +20,8 @@ exception Disconnected
 type loads
 (** Per-link traffic volumes for one topology. *)
 
-type workspace
-(** Reusable scratch for repeated routing passes: the load matrix, the
-    subtree accumulator and the inner Dijkstra workspace. {b Caveat}: a
-    [loads] produced with a workspace aliases the workspace's matrix and is
-    valid only until the next {!route} on the same workspace — callers that
-    retain loads (e.g. {!Network.create}) must route without one. Never
-    share a workspace across domains. *)
-
-val workspace : n:int -> workspace
-(** [workspace ~n] allocates routing scratch for [n]-PoP topologies. *)
-
-val domain_workspace : n:int -> workspace
-(** The calling domain's private workspace (domain-local storage), created
-    on first use and rebuilt when [n] changes — one reusable workspace per
-    {e Par} domain with no state threaded through task closures. *)
-
 val route :
   ?multipath:bool ->
-  ?workspace:workspace ->
   Cold_graph.Graph.t ->
   length:(int -> int -> float) ->
   tm:Cold_traffic.Gravity.t ->
@@ -55,8 +38,24 @@ val route :
     per-link load distribution differs — so optimization under single-path
     routing remains valid and ECMP is an evaluation-time choice.
 
-    [workspace] reuses scratch across calls; output values are bit-identical
-    with and without it, but see the aliasing caveat on {!workspace}. *)
+    It runs the same per-source step as {!route_loads} and copies each tree
+    and the load matrix out of the calling domain's scratch, so the result
+    shares nothing with it. *)
+
+val route_loads :
+  Cold_graph.Shortest_path.scratch ->
+  Cold_graph.Graph.Csr.t ->
+  lengths:float array ->
+  tm:Cold_traffic.Gravity.t ->
+  float array
+(** [route_loads sp csr ~lengths ~tm] is {!route}'s single-path load matrix
+    (row-major n×n, mirrored) for the topology [csr], with per-slot link
+    [lengths] as {!Cold_graph.Shortest_path.edge_lengths} lays them out,
+    and without building trees: the per-source step runs in [sp] (the
+    calling domain's scratch) and accumulates into the domain's own load
+    matrix, which is returned. It allocates nothing, and the matrix is
+    valid only until the next [route_loads] on this domain. Raises
+    {!Disconnected} like {!route}. *)
 
 (** {2 Building blocks}
 
@@ -87,10 +86,9 @@ val accumulate :
     preferred) or [~adj] (the graph's adjacency arrays) — is required when
     [multipath] is true and ignored otherwise; both enumerate neighbours in
     the same ascending order, so results are bit-identical. [?pair_demands]
-    is an optional row-major n×n table with [pd.(s*n+d) =
-    Gravity.pair_demand tm s d], letting hot callers skip recomputing the
-    (immutable) gravity products on every pass; results are bit-identical
-    either way. *)
+    is an optional row-major n×n table read as [pd.(s*n+d)] in place of
+    [Gravity.pair_demand tm s d] — a precomputed copy of those values, or
+    a caller's own (e.g. with failed pairs zeroed). *)
 
 val of_parts :
   n:int ->
@@ -103,6 +101,11 @@ val of_parts :
 
 val load : loads -> int -> int -> float
 (** [load ld u v] is the total traffic on link [{u,v}] (0 if not a link). *)
+
+val matrix : loads -> float array
+(** Every {!load} as the row-major n×n matrix (entry [u*n + v], mirrored),
+    shared, not copied — for loops that must not call {!load} per link.
+    Never write to it. *)
 
 val fold : loads -> ('a -> int -> int -> float -> 'a) -> 'a -> 'a
 (** [fold ld f init] folds over links with positive load, [u < v],

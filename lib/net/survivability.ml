@@ -53,15 +53,18 @@ let evaluate (net : Network.t) ~down_nodes ~down_links =
       end)
     down_links;
   let length u v = Context.distance ctx u v in
-  (* Reroute with the same machinery a full Routing.route uses — one CSR
-     snapshot, per-source Dijkstra through the calling domain's reusable
-     workspace — so a failure-free evaluation is bit-identical to the
-     baseline routing (trees, loads and volume·length all match exactly). *)
+  (* Reroute with the same per-source step a full Routing.route runs — one
+     CSR snapshot and length table, each tree settled in the calling
+     domain's scratch and copied out — so a failure-free evaluation is
+     bit-identical to the baseline routing (trees, loads and volume·length
+     all match exactly). *)
   let csr = Graph.Csr.of_graph degraded in
-  let sp = Shortest_path.domain_workspace ~n in
+  let sp = Shortest_path.scratch ~n in
+  let lengths = Shortest_path.edge_lengths sp csr ~length in
   let trees =
     Array.init n (fun s ->
-        Shortest_path.dijkstra ~csr ~workspace:sp degraded ~length ~source:s)
+        Shortest_path.copy_tree sp
+          (Shortest_path.settle sp csr ~lengths ~source:s))
   in
   (* Routable demand table: pairs with a failed endpoint or separated by the
      failure carry nothing; everything else reroutes. *)

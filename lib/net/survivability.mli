@@ -10,7 +10,7 @@
     was provisioned with.
 
     Rerouting reuses the routing stack's own machinery (one CSR snapshot,
-    per-source Dijkstra through the calling domain's reusable workspace,
+    the per-source Dijkstra step in the calling domain's scratch,
     {!Routing.accumulate} for the loads), so an {e empty} failure set
     reproduces the baseline routing bit for bit: [routed_volume_length]
     equals [Routing.total_volume_length net.loads] exactly, and the k2 cost

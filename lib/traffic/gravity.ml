@@ -9,12 +9,25 @@ let of_populations ?(scale = 1.0) pops =
 
 let size tm = Array.length tm.pops
 
+(* Inlined into both readers below, so the row fill computes each demand
+   with the same operations as [demand] without boxing a float per call. *)
+let[@inline] unchecked_demand tm s d =
+  if s = d then 0.0 else tm.scale *. tm.pops.(s) *. tm.pops.(d)
+
 let demand tm s d =
   let n = size tm in
   if s < 0 || d < 0 || s >= n || d >= n then invalid_arg "Gravity.demand";
-  if s = d then 0.0 else tm.scale *. tm.pops.(s) *. tm.pops.(d)
+  unchecked_demand tm s d
 
 let pair_demand tm u v = demand tm u v +. demand tm v u
+
+let pair_demand_row tm s row =
+  let n = size tm in
+  if s < 0 || s >= n || Array.length row < n then
+    invalid_arg "Gravity.pair_demand_row";
+  for d = 0 to n - 1 do
+    row.(d) <- unchecked_demand tm s d +. unchecked_demand tm d s
+  done
 
 let total tm =
   let sum = Array.fold_left ( +. ) 0.0 tm.pops in

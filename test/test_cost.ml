@@ -7,6 +7,7 @@ module Prng = Cold_prng.Prng
 module Point = Cold_geom.Point
 module Context = Cold_context.Context
 module Cost = Cold.Cost
+module Heuristics = Cold.Heuristics
 
 let feq = Alcotest.(check (float 1e-6))
 
@@ -139,6 +140,262 @@ let qcheck_cost_positive =
       let c = Cost.evaluate (Cost.params ()) ctx g in
       Float.is_finite c && c > 0.0)
 
+(* --- bitwise oracle ---------------------------------------------------------- *)
+
+module Gravity = Cold_traffic.Gravity
+module Shortest_path = Cold_graph.Shortest_path
+module Routing = Cold_net.Routing
+module Par = Cold_par.Par
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let oracle_params = Cost.params ~k2:3e-4 ~k3:0.5 ()
+
+(* What the library computes for one graph: the cost, the breakdown's
+   total, and the single-path and ECMP routings (None when disconnected). *)
+type outcome = {
+  cost : float;
+  breakdown_total : float;
+  routes : (float array * Shortest_path.tree array) option list;
+}
+
+let library_outcome ctx g =
+  let length u v = Context.distance ctx u v and tm = ctx.Context.tm in
+  {
+    cost = Cost.evaluate oracle_params ctx g;
+    breakdown_total = (Cost.evaluate_breakdown oracle_params ctx g).Cost.total;
+    routes =
+      List.map
+        (fun multipath ->
+          match Routing.route ~multipath g ~length ~tm with
+          | exception Routing.Disconnected -> None
+          | l -> Some (Array.copy (Routing.matrix l), Routing.trees l))
+        [ false; true ];
+  }
+
+let oracle_outcome ctx g =
+  let length u v = Context.distance ctx u v and tm = ctx.Context.tm in
+  let total = (Cost_oracle.breakdown oracle_params ctx g).Cost.total in
+  {
+    cost = total;
+    breakdown_total = total;
+    routes =
+      List.map
+        (fun multipath ->
+          match Cost_oracle.route ~multipath g ~length ~tm with
+          | exception Cost_oracle.Disconnected -> None
+          | r -> Some r)
+        [ false; true ];
+  }
+
+let check_outcome label ~(want : outcome) (got : outcome) =
+  if not (bits_equal got.cost want.cost) then
+    Alcotest.failf "%s: Cost.evaluate %h, reference %h" label got.cost want.cost;
+  if not (bits_equal got.breakdown_total want.breakdown_total) then
+    Alcotest.failf "%s: evaluate_breakdown total %h, reference %h" label
+      got.breakdown_total want.breakdown_total;
+  List.iter2
+    (fun got want ->
+      match (got, want) with
+      | (None, None) -> ()
+      | (Some (gm, gt), Some (wm, wt)) ->
+        if not (Array.for_all2 bits_equal gm wm) then
+          Alcotest.failf "%s: Routing.route loads differ" label;
+        Array.iteri
+          (fun s (w : Shortest_path.tree) ->
+            let t = gt.(s) in
+            if not (Array.for_all2 bits_equal t.Shortest_path.dist w.dist)
+               || t.pred <> w.pred || t.order <> w.order
+            then Alcotest.failf "%s: Routing.route tree %d differs" label s)
+          wt
+      | _ -> Alcotest.failf "%s: Routing.route feasibility differs" label)
+    got.routes want.routes
+
+let check_graph label ctx g =
+  check_outcome label ~want:(oracle_outcome ctx g) (library_outcome ctx g)
+
+let erdos_renyi rng n ~p =
+  let g = Graph.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Prng.float rng < p then Graph.add_edge g u v
+    done
+  done;
+  g
+
+(* ER graphs at three densities (the sparse ones are often disconnected,
+   pricing at infinity), a spanning tree plus chords, and two disconnected
+   graphs: one without links, one split in half. *)
+let oracle_graphs ctx rng =
+  let n = Context.n ctx in
+  let mst = Heuristics.mst_topology ctx in
+  let chords = Graph.copy mst in
+  for _ = 1 to n do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v then Graph.add_edge chords u v
+  done;
+  let halves = Graph.create n in
+  for v = 1 to n - 1 do
+    if v <> (n / 2) then Graph.add_edge halves (if v < n / 2 then 0 else n / 2) v
+  done;
+  [
+    ("er sparse", erdos_renyi rng n ~p:(2.0 /. float_of_int n));
+    ("er medium", erdos_renyi rng n ~p:0.3);
+    ("er dense", erdos_renyi rng n ~p:0.8);
+    ("mst", mst);
+    ("mst+chords", chords);
+    ("clique", Graph.complete n);
+    ("empty", Graph.create n);
+    ("halves", halves);
+  ]
+
+let oracle_sizes = [ 2; 3; 20; 60 ]
+
+let test_oracle_random () =
+  List.iter
+    (fun n ->
+      for seed = 1 to 3 do
+        let ctx = random_context n (100 + seed) in
+        let rng = Prng.create (200 + seed) in
+        List.iter
+          (fun (name, g) ->
+            check_graph (Printf.sprintf "n=%d seed=%d %s" n seed name) ctx g)
+          (oracle_graphs ctx rng)
+      done)
+    oracle_sizes
+
+(* Colocated PoPs: several share one location, so their links have zero
+   length and Dijkstra's ties are exact — the tie-break and the
+   settle-order rule decide every tree. *)
+let colocated_context n seed =
+  let rng = Prng.create seed in
+  let sites = max 1 (n / 3) in
+  let site = Array.init sites (fun _ ->
+      Point.make (50.0 *. Prng.float rng) (50.0 *. Prng.float rng)) in
+  let pops = Array.init n (fun _ -> 1.0 +. (30.0 *. Prng.float rng)) in
+  Context.of_points_and_populations ~traffic_scale:0.4
+    (Array.init n (fun i -> site.(i mod sites)))
+    pops
+
+let test_oracle_colocated () =
+  List.iter
+    (fun n ->
+      let ctx = colocated_context n (300 + n) in
+      List.iter
+        (fun (name, g) -> check_graph (Printf.sprintf "colocated n=%d %s" n name) ctx g)
+        (oracle_graphs ctx (Prng.create (400 + n))))
+    oracle_sizes
+
+(* A PoP with no population carries no demand, so cutting it off leaves
+   the network feasible: every path must still agree with the reference,
+   including the partially settled trees of the other sources. *)
+let test_oracle_zero_population () =
+  List.iter
+    (fun n ->
+      let base = random_context n (500 + n) in
+      let pops = Gravity.populations base.Context.tm in
+      let lonely = n - 1 in
+      pops.(lonely) <- 0.0;
+      let ctx =
+        Context.of_points_and_populations ~traffic_scale:0.4 base.Context.points
+          pops
+      in
+      let g = Graph.of_edges n (List.init (n - 2) (fun i -> (0, i + 1))) in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d stays feasible" n)
+        true
+        (Float.is_finite (Cost.evaluate oracle_params ctx g));
+      check_graph (Printf.sprintf "zero population n=%d" n) ctx g;
+      Graph.add_edge g 0 lonely;
+      check_graph (Printf.sprintf "zero population reattached n=%d" n) ctx g)
+    oracle_sizes
+
+(* Every trial graph a seed set prices, each held against the reference
+   as the historical heuristics reach it, and the seed set itself against
+   the historical one. *)
+let seed_set_trials n =
+  let permutations = 2 in
+  let ctx = random_context n (600 + n) in
+  let trials = ref 0 in
+  let eval g =
+    incr trials;
+    let want = (Cost_oracle.breakdown oracle_params ctx g).Cost.total in
+    let got = Cost.evaluate oracle_params ctx g in
+    let total = (Cost.evaluate_breakdown oracle_params ctx g).Cost.total in
+    if not (bits_equal got want && bits_equal total want) then
+      Alcotest.failf "n=%d trial %d: Cost.evaluate %h / breakdown %h, reference %h"
+        n !trials got total want;
+    if !trials mod 50 = 0 then
+      check_graph (Printf.sprintf "n=%d trial %d" n !trials) ctx g;
+    want
+  in
+  let want = Cost_oracle.seed_set ~eval ~permutations ctx (Prng.create 601) in
+  let got = Heuristics.seed_set ~permutations oracle_params ctx (Prng.create 601) in
+  Alcotest.(check bool)
+    (Printf.sprintf "n=%d seed set unchanged" n)
+    true (List.equal Graph.equal got want);
+  !trials
+
+let test_oracle_seed_set_trials () =
+  ignore (seed_set_trials 2);
+  ignore (seed_set_trials 3);
+  let trials = seed_set_trials 20 in
+  Alcotest.(check bool)
+    (Printf.sprintf "n=20: over 1000 trials (got %d)" trials)
+    true (trials > 1000)
+
+(* The same comparisons fanned out over a pool: each domain routes in its
+   own scratch, and the results must not depend on the domain count. *)
+let test_oracle_domains () =
+  let cases =
+    Array.of_list
+      (List.concat_map
+         (fun n ->
+           let ctx = random_context n (700 + n) in
+           let colocated = colocated_context n (800 + n) in
+           List.map (fun (_, g) -> (ctx, g)) (oracle_graphs ctx (Prng.create n))
+           @ List.map
+               (fun (_, g) -> (colocated, g))
+               (oracle_graphs colocated (Prng.create (n + 1))))
+         oracle_sizes)
+  in
+  let want = Array.map (fun (ctx, g) -> oracle_outcome ctx g) cases in
+  List.iter
+    (fun domains ->
+      let got =
+        Par.with_pool ~domains (fun pool ->
+            Par.map_array pool (fun (ctx, g) -> library_outcome ctx g) cases)
+      in
+      Array.iteri
+        (fun i got ->
+          check_outcome
+            (Printf.sprintf "domains=%d case %d" domains i)
+            ~want:want.(i) got)
+        got)
+    [ 1; 2; 4; 8 ]
+
+(* --- allocation ------------------------------------------------------------ *)
+
+(* A full evaluation routes in the calling domain's scratch and folds in a
+   plain loop, so once the scratch is warm it allocates only its result:
+   a few words, the same at every n. *)
+let test_evaluate_allocation () =
+  let words n =
+    let ctx = random_context n (900 + n) in
+    let g = Graph.of_edges n (List.init (n - 1) (fun i -> (0, i + 1))) in
+    let p = Cost.params () in
+    ignore (Cost.evaluate p ctx g);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Cost.evaluate p ctx g));
+    Gc.minor_words () -. before
+  in
+  let w20 = words 20 and w60 = words 60 in
+  Alcotest.(check bool) (Printf.sprintf "n=20: %.0f words < 100" w20) true (w20 < 100.0);
+  Alcotest.(check bool) (Printf.sprintf "n=60: %.0f words < 100" w60) true (w60 < 100.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "no growth with n (%.0f then %.0f)" w20 w60)
+    true (w60 <= w20)
+
 let () =
   Alcotest.run "cold_cost"
     [
@@ -163,4 +420,14 @@ let () =
       ( "brute force",
         [ Alcotest.test_case "connected graph counts" `Quick test_count_connected_oracle ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_cost_positive ]);
+      ( "oracle",
+        [
+          Alcotest.test_case "random graphs" `Quick test_oracle_random;
+          Alcotest.test_case "colocated PoPs" `Quick test_oracle_colocated;
+          Alcotest.test_case "zero population" `Quick test_oracle_zero_population;
+          Alcotest.test_case "seed set trials" `Quick test_oracle_seed_set_trials;
+          Alcotest.test_case "domains" `Quick test_oracle_domains;
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "evaluate" `Quick test_evaluate_allocation ] );
     ]

@@ -193,7 +193,7 @@ let test_incremental_across_domains () =
   (* Clone-and-retarget evaluation must be a pure function of the topology:
      the same variants costed through clones of one shared parent state give
      bitwise-identical floats at every domain count (each domain reuses its
-     own DLS workspace), all equal to the stateless oracle. *)
+     own DLS scratch), all equal to the stateless oracle. *)
   let module Cost = Cold.Cost in
   let module Incremental = Cold_net.Incremental in
   let module Par = Cold_par.Par in

@@ -238,9 +238,13 @@ let test_perturbation_budget () =
     true
     (!perturbations >= 1000)
 
-(* --- workspace equivalence ---------------------------------------------------- *)
+(* --- per-domain scratch ---------------------------------------------------------- *)
 
-let test_workspace_bit_identical () =
+(* Every Dijkstra and routing pass runs in the calling domain's scratch;
+   what they return must be copies. Trees and loads taken before other
+   graphs were routed through the same scratch must still equal fresh
+   ones, and the adjacency, CSR and dense-scan views must agree. *)
+let test_scratch_bit_identical () =
   let n = 12 in
   let ctx = ctx_of 9 n in
   let length u v = Context.distance ctx u v in
@@ -251,35 +255,40 @@ let test_workspace_bit_identical () =
     let (u, v) = random_pair rng n in
     if not (Graph.mem_edge g u v) then Graph.add_edge g u v
   done;
-  let sp = Shortest_path.workspace ~n in
+  let other = Graph.complete n in
+  let kept = Array.init n (fun s -> Shortest_path.dijkstra g ~length ~source:s) in
   let adj = Graph.adjacency_arrays g in
+  let csr = Graph.Csr.of_graph g in
   for s = 0 to n - 1 do
     let plain = Shortest_path.dijkstra g ~length ~source:s in
-    let ws = Shortest_path.dijkstra ~workspace:sp g ~length ~source:s in
-    let ws_adj = Shortest_path.dijkstra ~adj ~workspace:sp g ~length ~source:s in
+    let with_adj = Shortest_path.dijkstra ~adj g ~length ~source:s in
+    let with_csr = Shortest_path.dijkstra ~csr g ~length ~source:s in
+    ignore (Shortest_path.dijkstra other ~length ~source:s);
     List.iter
       (fun (label, (t : Shortest_path.tree)) ->
-        if not (Array.for_all2 feq_bits plain.Shortest_path.dist t.Shortest_path.dist)
+        let k = kept.(s) in
+        if not (Array.for_all2 feq_bits k.Shortest_path.dist t.Shortest_path.dist)
         then Alcotest.failf "dijkstra %s: dist differs at source %d" label s;
-        if plain.Shortest_path.pred <> t.Shortest_path.pred then
+        if k.Shortest_path.pred <> t.Shortest_path.pred then
           Alcotest.failf "dijkstra %s: pred differs at source %d" label s;
-        if plain.Shortest_path.order <> t.Shortest_path.order then
+        if k.Shortest_path.order <> t.Shortest_path.order then
           Alcotest.failf "dijkstra %s: order differs at source %d" label s)
-      [ ("workspace", ws); ("workspace+adj", ws_adj) ]
+      [ ("plain", plain); ("adj", with_adj); ("csr", with_csr) ]
   done;
+  let params = Cost.params ~k2:2e-4 () in
+  let cost = Cost.evaluate params ctx g in
   List.iter
     (fun multipath ->
-      let rws = Routing.workspace ~n in
-      let plain = Routing.route ~multipath g ~length ~tm in
-      let with_ws = Routing.route ~multipath ~workspace:rws g ~length ~tm in
+      let first = Routing.route ~multipath g ~length ~tm in
+      ignore (Routing.route ~multipath other ~length ~tm);
+      ignore (Cost.evaluate params ctx other);
       check_loads_equal
         (Printf.sprintf "route multipath=%b" multipath)
-        n with_ws plain)
+        n first
+        (Routing.route ~multipath g ~length ~tm))
     [ false; true ];
-  let params = Cost.params ~k2:2e-4 () in
-  let rws = Routing.workspace ~n in
-  Alcotest.(check bool) "Cost.evaluate with workspace" true
-    (feq_bits (Cost.evaluate params ctx g) (Cost.evaluate ~workspace:rws params ctx g))
+  Alcotest.(check bool) "Cost.evaluate repeats" true
+    (feq_bits cost (Cost.evaluate params ctx g))
 
 (* --- fused breakdown ---------------------------------------------------------- *)
 
@@ -570,8 +579,8 @@ let () =
           Alcotest.test_case "indexed matches lazy accepted pops" `Quick
             test_indexed_heap_matches_lazy;
         ] );
-      ( "workspace",
-        [ Alcotest.test_case "bit-identical outputs" `Quick test_workspace_bit_identical ] );
+      ( "scratch",
+        [ Alcotest.test_case "bit-identical outputs" `Quick test_scratch_bit_identical ] );
       ( "cost",
         [ Alcotest.test_case "fused breakdown" `Quick test_breakdown_fused_pass ] );
       ( "graph",
