@@ -1,25 +1,20 @@
 (* Optimizer hot-path throughput: evaluations/sec of the evaluation engine,
-   full recomputation vs the delta-aware engines, sequential vs
-   autodetected domains, at n = 20 and n = 40.
+   at n = 20 and n = 40.
 
-   Three workloads stress different evaluation mixes:
-     ga_hotpath    — the standard GA (crossover-heavy: most children are far
-                     from their parents, so incremental gains are modest);
-     ga_mutation   — a mutation-heavy GA (most children are a few edge flips
-                     from a parent: the incremental fast path's GA sweet spot);
+   Two workloads:
+     ga_hotpath    — the standard GA, every candidate priced by
+                     Cost.evaluate, sequential vs autodetected domains;
      local_search  — simulated annealing (every candidate is a single move
                      from the current state: the incremental engine's
-                     primary beneficiary).
+                     client).
 
-   Engine variants:
+   Variants:
      full          — Cost.evaluate from scratch per candidate;
-     incremental   — the mark-dirty engine (repair:false): affected trees
-                     recomputed by full per-source Dijkstra at refresh;
-     dynamic       — the in-place tree-repair engine (repair:true, the
-                     library default): affected trees patched by frontier
-                     re-relaxation (doc/PERF.md "Dynamic SSSP repair").
-   full, incremental and dynamic run the identical RNG trajectory and are
-   asserted bit-identical in-bench.
+     dynamic       — local search through Cold_net.Incremental, which
+                     repairs affected trees in place (doc/PERF.md
+                     "Dynamic SSSP repair"). It runs the identical RNG
+                     trajectory as full and is asserted bit-identical
+                     in-bench.
 
    Cells land in BENCH_ga.json keyed by (bench, variant, n, domains):
    existing rows for other keys are preserved, matching rows are replaced —
@@ -40,7 +35,7 @@ module Local_search = Cold.Local_search
 
 type cell = {
   bench : string;
-  variant : string; (* "full" | "incremental" | "dynamic" | "locality" *)
+  variant : string; (* "full" | "dynamic" | "locality" *)
   n : int;
   domains : int;
   evals_per_sec : float;
@@ -71,33 +66,6 @@ let ga_settings =
     }
   | Config.Full -> Cold.Ga.default_settings
 
-let mutation_settings =
-  match Config.scale with
-  | Config.Smoke ->
-    {
-      Cold.Ga.default_settings with
-      Cold.Ga.population_size = 20;
-      generations = 10;
-      num_saved = 4;
-      num_crossover = 2;
-      num_mutation = 14;
-    }
-  | Config.Quick ->
-    {
-      Cold.Ga.default_settings with
-      Cold.Ga.population_size = 40;
-      generations = 25;
-      num_saved = 8;
-      num_crossover = 4;
-      num_mutation = 28;
-    }
-  | Config.Full ->
-    {
-      Cold.Ga.default_settings with
-      Cold.Ga.num_crossover = 10;
-      num_mutation = 70;
-    }
-
 let ls_iterations =
   match Config.scale with
   | Config.Smoke -> 300
@@ -109,26 +77,23 @@ let ctx_for n =
 
 let params = Cost.params ~k2:1e-4 ()
 
-(* The two delta-aware variants measured by every workload: the mark-dirty
-   engine and the dynamic in-place repair engine. *)
-let engines = [ ("incremental", false); ("dynamic", true) ]
-
-let measure_ga ~settings ~incremental ?repair ~n ~domains () =
+let measure_ga ?locality ~settings ~n ~domains () =
   let ctx = ctx_for n in
   let run () =
-    Ga.run ~incremental ?repair ~domains ~cache_slots:0 settings params ctx
+    Ga.run ?locality ~domains ~cache_slots:0 settings params ctx
       (Prng.create 42)
   in
   let (result, wall) = Config.time_it run in
   (result, wall, float_of_int result.Cold.Ga.evaluations /. wall)
 
-let measure_ls ~incremental ?repair ~n () =
+let measure_ls ?locality ?incremental ~iterations ~n () =
   let ctx = ctx_for n in
   let settings =
-    { Local_search.default_settings with Local_search.iterations = ls_iterations }
+    { Local_search.default_settings with Local_search.iterations }
   in
   let run () =
-    Local_search.run ~incremental ?repair settings params ctx (Prng.create 43)
+    Local_search.run ?locality ?incremental settings params ctx
+      (Prng.create 43)
   in
   let (result, wall) = Config.time_it run in
   (result, wall, float_of_int result.Local_search.evaluations /. wall)
@@ -159,85 +124,49 @@ let run () =
   in
   let ls_speedup_n40 = ref 0.0 in
 
-  (* GA workloads: full, incremental and dynamic at 1 domain and (when
-     available) the autodetected count, asserting bit-identical optima
-     throughout. *)
+  (* The GA at 1 domain and (when available) the autodetected count,
+     asserting bit-identical optima. *)
   List.iter
-    (fun (bench, settings) ->
-      List.iter
-        (fun n ->
-          let (full_seq, full_wall, full_eps) =
-            measure_ga ~settings ~incremental:false ~n ~domains:1 ()
-          in
-          add
-            { bench; variant = "full"; n; domains = 1; evals_per_sec = full_eps;
-              wall_s = full_wall; speedup_vs_seq = 1.0; speedup_vs_full = 1.0 };
-          let full_par_eps = ref full_eps in
-          if auto > 1 then begin
-            let (full_par, fp_wall, fp_eps) =
-              measure_ga ~settings ~incremental:false ~n ~domains:auto ()
-            in
-            assert (
-              Float.equal full_par.Cold.Ga.best_cost full_seq.Cold.Ga.best_cost);
-            add
-              { bench; variant = "full"; n; domains = auto;
-                evals_per_sec = fp_eps; wall_s = fp_wall;
-                speedup_vs_seq = fp_eps /. full_eps; speedup_vs_full = 1.0 };
-            full_par_eps := fp_eps
-          end;
-          List.iter
-            (fun (variant, repair) ->
-              let (inc_seq, inc_wall, inc_eps) =
-                measure_ga ~settings ~incremental:true ~repair ~n ~domains:1 ()
-              in
-              assert (
-                Float.equal inc_seq.Cold.Ga.best_cost full_seq.Cold.Ga.best_cost);
-              add
-                { bench; variant; n; domains = 1;
-                  evals_per_sec = inc_eps; wall_s = inc_wall;
-                  speedup_vs_seq = 1.0; speedup_vs_full = inc_eps /. full_eps };
-              if auto > 1 then begin
-                let (inc_par, ip_wall, ip_eps) =
-                  measure_ga ~settings ~incremental:true ~repair ~n
-                    ~domains:auto ()
-                in
-                assert (
-                  Float.equal inc_par.Cold.Ga.best_cost
-                    full_seq.Cold.Ga.best_cost);
-                add
-                  { bench; variant; n; domains = auto;
-                    evals_per_sec = ip_eps; wall_s = ip_wall;
-                    speedup_vs_seq = ip_eps /. inc_eps;
-                    speedup_vs_full = ip_eps /. !full_par_eps }
-              end)
-            engines)
-        [ 20; 40 ])
-    [ ("ga_hotpath", ga_settings); ("ga_mutation", mutation_settings) ];
+    (fun n ->
+      let bench = "ga_hotpath" in
+      let (seq, seq_wall, seq_eps) =
+        measure_ga ~settings:ga_settings ~n ~domains:1 ()
+      in
+      add
+        { bench; variant = "full"; n; domains = 1; evals_per_sec = seq_eps;
+          wall_s = seq_wall; speedup_vs_seq = 1.0; speedup_vs_full = 1.0 };
+      if auto > 1 then begin
+        let (par, par_wall, par_eps) =
+          measure_ga ~settings:ga_settings ~n ~domains:auto ()
+        in
+        assert (Float.equal par.Cold.Ga.best_cost seq.Cold.Ga.best_cost);
+        add
+          { bench; variant = "full"; n; domains = auto; evals_per_sec = par_eps;
+            wall_s = par_wall; speedup_vs_seq = par_eps /. seq_eps;
+            speedup_vs_full = 1.0 }
+      end)
+    [ 20; 40 ];
 
   (* Local search: the single-edge-move workload. *)
   List.iter
     (fun n ->
-      let (full_r, full_wall, full_eps) = measure_ls ~incremental:false ~n () in
+      let iterations = ls_iterations in
+      let (full_r, full_wall, full_eps) =
+        measure_ls ~incremental:false ~iterations ~n ()
+      in
       add
         { bench = "local_search"; variant = "full"; n; domains = 1;
           evals_per_sec = full_eps; wall_s = full_wall; speedup_vs_seq = 1.0;
           speedup_vs_full = 1.0 };
-      List.iter
-        (fun (variant, repair) ->
-          let (inc_r, inc_wall, inc_eps) =
-            measure_ls ~incremental:true ~repair ~n ()
-          in
-          assert (
-            Float.equal inc_r.Local_search.best_cost
-              full_r.Local_search.best_cost);
-          let speedup = inc_eps /. full_eps in
-          if n = 40 && String.equal variant "dynamic" then
-            ls_speedup_n40 := speedup;
-          add
-            { bench = "local_search"; variant; n; domains = 1;
-              evals_per_sec = inc_eps; wall_s = inc_wall; speedup_vs_seq = 1.0;
-              speedup_vs_full = speedup })
-        engines)
+      let (inc_r, inc_wall, inc_eps) = measure_ls ~iterations ~n () in
+      assert (
+        Float.equal inc_r.Local_search.best_cost full_r.Local_search.best_cost);
+      let speedup = inc_eps /. full_eps in
+      if n = 40 then ls_speedup_n40 := speedup;
+      add
+        { bench = "local_search"; variant = "dynamic"; n; domains = 1;
+          evals_per_sec = inc_eps; wall_s = inc_wall; speedup_vs_seq = 1.0;
+          speedup_vs_full = speedup })
     [ 20; 40 ];
 
   Printf.printf
@@ -253,35 +182,32 @@ let run () =
     (List.length rows) total
 
 (* ------------------------------------------------------------------ *)
-(* Large-n scaling cells: n ∈ {100, 300, 1000}, the same three workloads,
-   four variants each — full recomputation, the mark-dirty incremental
-   engine, the dynamic in-place repair engine (all three on the historical
-   RNG trajectory, asserted bit-identical), and the opt-in spatial locality
-   mode (its own deterministic trajectory, so its cost is reported, not
-   asserted). Settings shrink with n so the n = 1000 cells stay minutes,
-   not hours: the quantity measured is evals/sec of the evaluation engine,
-   which tiny populations sample just as well. Runs under the @bench-large
-   alias (COLD_BENCH_ONLY=ga_hotpath_large), never under @runtest. *)
+(* Large-n scaling cells: n ∈ {100, 300, 1000}, the same two workloads —
+   full recomputation, the dynamic in-place repair engine for local search
+   (on the same RNG trajectory, asserted bit-identical), and the opt-in
+   spatial locality mode (its own deterministic trajectory, so its cost is
+   reported, not asserted). Settings shrink with n so the n = 1000 cells
+   stay minutes, not hours: the quantity measured is evals/sec of the
+   evaluation engine, which tiny populations sample just as well. Runs
+   under the @bench-large alias (COLD_BENCH_ONLY=ga_hotpath_large), never
+   under @runtest. *)
 
 let locality_k = 10
 
-let large_ga ~mutation_heavy n =
+let large_ga n =
   let base = Cold.Ga.default_settings in
   if n <= 100 then
     { base with
       Cold.Ga.population_size = 16; generations = 6; num_saved = 4;
-      num_crossover = (if mutation_heavy then 2 else 6);
-      num_mutation = (if mutation_heavy then 10 else 6) }
+      num_crossover = 6; num_mutation = 6 }
   else if n <= 300 then
     { base with
       Cold.Ga.population_size = 8; generations = 3; num_saved = 2;
-      num_crossover = (if mutation_heavy then 1 else 3);
-      num_mutation = (if mutation_heavy then 5 else 3) }
+      num_crossover = 3; num_mutation = 3 }
   else
     { base with
       Cold.Ga.population_size = 5; generations = 2; num_saved = 2;
-      num_crossover = (if mutation_heavy then 0 else 1);
-      num_mutation = (if mutation_heavy then 3 else 2) }
+      num_crossover = 1; num_mutation = 2 }
 
 let large_ls_iterations n = if n <= 100 then 400 else if n <= 300 then 120 else 30
 
@@ -292,26 +218,6 @@ let large_ns =
   | Config.Smoke -> [ 100; 300 ]
   | Config.Quick | Config.Full -> [ 100; 300; 1000 ]
 
-let measure_ga_locality ~settings ~n =
-  let ctx = ctx_for n in
-  let run () =
-    Ga.run ~incremental:true ~locality:locality_k ~domains:1 ~cache_slots:0
-      settings params ctx (Prng.create 42)
-  in
-  let (result, wall) = Config.time_it run in
-  (result, wall, float_of_int result.Cold.Ga.evaluations /. wall)
-
-let measure_ls_locality ~n ~iterations =
-  let ctx = ctx_for n in
-  let settings =
-    { Local_search.default_settings with Local_search.iterations } in
-  let run () =
-    Local_search.run ~incremental:true ~locality:locality_k settings params ctx
-      (Prng.create 43)
-  in
-  let (result, wall) = Config.time_it run in
-  (result, wall, float_of_int result.Local_search.evaluations /. wall)
-
 let run_large () =
   Config.section
     "Large-n scaling: full vs incremental vs locality (BENCH_ga.json)";
@@ -321,94 +227,55 @@ let run_large () =
     cells := c :: !cells
   in
   (* The headline scaling numbers: the single-move workload (every candidate
-     one edge flip from the current state) is what the delta-aware engines
-     optimize; crossover-heavy GA churn is their documented worst case. The
-     dynamic engine's target is >= 1.3x over the mark-dirty engine on the
-     local-search workload (it saves the per-affected-source Dijkstra, not
-     the accumulation). *)
-  let inc_speedup_n100 = ref 0.0 in
-  let dyn_vs_inc = ref [] in
+     one edge flip from the current state) is what the incremental engine
+     optimizes. *)
+  let dyn_speedup = ref [] in
   List.iter
     (fun n ->
-      List.iter
-        (fun (bench, mutation_heavy) ->
-          let settings = large_ga ~mutation_heavy n in
-          let (full_r, full_wall, full_eps) =
-            measure_ga ~settings ~incremental:false ~n ~domains:1 ()
-          in
-          add
-            { bench; variant = "full"; n; domains = 1; evals_per_sec = full_eps;
-              wall_s = full_wall; speedup_vs_seq = 1.0; speedup_vs_full = 1.0 };
-          List.iter
-            (fun (variant, repair) ->
-              let (inc_r, inc_wall, inc_eps) =
-                measure_ga ~settings ~incremental:true ~repair ~n ~domains:1 ()
-              in
-              assert (
-                Float.equal inc_r.Cold.Ga.best_cost full_r.Cold.Ga.best_cost);
-              add
-                { bench; variant; n; domains = 1;
-                  evals_per_sec = inc_eps; wall_s = inc_wall;
-                  speedup_vs_seq = 1.0;
-                  speedup_vs_full = inc_eps /. full_eps })
-            engines;
-          let (_loc_r, loc_wall, loc_eps) =
-            measure_ga_locality ~settings ~n
-          in
-          add
-            { bench; variant = "locality"; n; domains = 1;
-              evals_per_sec = loc_eps; wall_s = loc_wall; speedup_vs_seq = 1.0;
-              speedup_vs_full = loc_eps /. full_eps })
-        [ ("ga_hotpath", false); ("ga_mutation", true) ];
-      let iterations = large_ls_iterations n in
-      let ctx = ctx_for n in
-      let settings =
-        { Local_search.default_settings with Local_search.iterations } in
-      let measure ~incremental ?repair () =
-        let run () =
-          Local_search.run ~incremental ?repair settings params ctx
-            (Prng.create 43)
-        in
-        let (r, w) = Config.time_it run in
-        (r, w, float_of_int r.Local_search.evaluations /. w)
+      let settings = large_ga n in
+      let (_full_r, full_wall, full_eps) =
+        measure_ga ~settings ~n ~domains:1 ()
       in
-      let (full_r, full_wall, full_eps) = measure ~incremental:false () in
+      add
+        { bench = "ga_hotpath"; variant = "full"; n; domains = 1;
+          evals_per_sec = full_eps; wall_s = full_wall; speedup_vs_seq = 1.0;
+          speedup_vs_full = 1.0 };
+      let (_loc_r, loc_wall, loc_eps) =
+        measure_ga ~locality:locality_k ~settings ~n ~domains:1 ()
+      in
+      add
+        { bench = "ga_hotpath"; variant = "locality"; n; domains = 1;
+          evals_per_sec = loc_eps; wall_s = loc_wall; speedup_vs_seq = 1.0;
+          speedup_vs_full = loc_eps /. full_eps };
+      let iterations = large_ls_iterations n in
+      let (full_r, full_wall, full_eps) =
+        measure_ls ~incremental:false ~iterations ~n ()
+      in
       add
         { bench = "local_search"; variant = "full"; n; domains = 1;
           evals_per_sec = full_eps; wall_s = full_wall; speedup_vs_seq = 1.0;
           speedup_vs_full = 1.0 };
-      let inc_eps_of = ref full_eps in
-      List.iter
-        (fun (variant, repair) ->
-          let (inc_r, inc_wall, inc_eps) = measure ~incremental:true ~repair () in
-          assert (
-            Float.equal inc_r.Local_search.best_cost
-              full_r.Local_search.best_cost);
-          if String.equal variant "incremental" then begin
-            inc_eps_of := inc_eps;
-            if n = 100 then inc_speedup_n100 := inc_eps /. full_eps
-          end
-          else dyn_vs_inc := (n, inc_eps /. !inc_eps_of) :: !dyn_vs_inc;
-          add
-            { bench = "local_search"; variant; n; domains = 1;
-              evals_per_sec = inc_eps; wall_s = inc_wall; speedup_vs_seq = 1.0;
-              speedup_vs_full = inc_eps /. full_eps })
-        engines;
-      let (_loc_r, loc_wall, loc_eps) = measure_ls_locality ~n ~iterations in
+      let (inc_r, inc_wall, inc_eps) = measure_ls ~iterations ~n () in
+      assert (
+        Float.equal inc_r.Local_search.best_cost full_r.Local_search.best_cost);
+      dyn_speedup := (n, inc_eps /. full_eps) :: !dyn_speedup;
+      add
+        { bench = "local_search"; variant = "dynamic"; n; domains = 1;
+          evals_per_sec = inc_eps; wall_s = inc_wall; speedup_vs_seq = 1.0;
+          speedup_vs_full = inc_eps /. full_eps };
+      let (_loc_r, loc_wall, loc_eps) =
+        measure_ls ~locality:locality_k ~iterations ~n ()
+      in
       add
         { bench = "local_search"; variant = "locality"; n; domains = 1;
           evals_per_sec = loc_eps; wall_s = loc_wall; speedup_vs_seq = 1.0;
           speedup_vs_full = loc_eps /. full_eps })
     large_ns;
-  Printf.printf
-    "\nlocal_search n=100: incremental %.2fx over full recomputation (target >= 2x)\n"
-    !inc_speedup_n100;
   List.iter
     (fun (n, r) ->
-      Printf.printf
-        "local_search n=%d: dynamic %.2fx over mark-dirty incremental (target >= 1.3x)\n"
+      Printf.printf "local_search n=%d: dynamic %.2fx over full recomputation\n"
         n r)
-    (List.rev !dyn_vs_inc);
+    (List.rev !dyn_speedup);
   let rows = List.rev_map row !cells in
   let total =
     Config.merge_json_rows ~path:"BENCH_ga.json"

@@ -9,7 +9,6 @@ module Mst = Cold_graph.Mst
 module Prng = Cold_prng.Prng
 module Context = Cold_context.Context
 module Cost = Cold.Cost
-module Ga = Cold.Ga
 module Incremental = Cold_net.Incremental
 module Local_search = Cold.Local_search
 
@@ -52,55 +51,25 @@ let check_trajectory ~n ~steps =
     (float_of_int (Incremental.repaired_trees st) /. float_of_int !evals)
     n
 
-(* Both delta-aware engines — mark-dirty (repair:false) and dynamic in-place
-   repair (repair:true, the default) — against the stateless oracle on the
-   same trajectory. *)
+(* The incremental annealer against the from-scratch one on the same
+   trajectory. *)
 let check_local_search () =
   let ctx = Context.generate (Context.default_spec ~n:12) (Prng.create 7) in
   let params = Cost.params ~k2:2e-4 () in
   let settings =
     { Local_search.default_settings with Local_search.iterations = 400 }
   in
-  let run incremental ?repair () =
-    Local_search.run ~incremental ?repair settings params ctx (Prng.create 8)
-  in
-  let full = run false () in
-  List.iter
-    (fun (name, repair) ->
-      let inc = run true ~repair () in
-      if not (bits_equal full.Local_search.best_cost inc.Local_search.best_cost)
-      then
-        fail "local search diverged: full %h vs %s %h"
-          full.Local_search.best_cost name inc.Local_search.best_cost;
-      if full.Local_search.accepted <> inc.Local_search.accepted then
-        fail "local search accepted counts diverged (full vs %s)" name)
-    [ ("mark-dirty", false); ("dynamic", true) ];
-  Printf.printf
-    "smoke local search: full, mark-dirty and dynamic bit-identical\n%!"
-
-let check_ga () =
-  let ctx = Context.generate (Context.default_spec ~n:12) (Prng.create 9) in
-  let params = Cost.params ~k2:1e-4 () in
-  let settings =
-    {
-      Ga.default_settings with
-      Ga.population_size = 16;
-      generations = 8;
-      num_saved = 4;
-      num_crossover = 6;
-      num_mutation = 6;
-    }
-  in
   let run incremental =
-    Ga.run ~incremental ~cache_slots:0 settings params ctx (Prng.create 10)
+    Local_search.run ~incremental settings params ctx (Prng.create 8)
   in
   let full = run false and inc = run true in
-  if not (bits_equal full.Ga.best_cost inc.Ga.best_cost) then
-    fail "ga diverged: full %h vs incremental %h" full.Ga.best_cost
-      inc.Ga.best_cost;
-  if not (Array.for_all2 bits_equal full.Ga.history inc.Ga.history) then
-    fail "ga history diverged";
-  Printf.printf "smoke ga: full and incremental bit-identical\n%!"
+  if not (bits_equal full.Local_search.best_cost inc.Local_search.best_cost)
+  then
+    fail "local search diverged: full %h vs incremental %h"
+      full.Local_search.best_cost inc.Local_search.best_cost;
+  if full.Local_search.accepted <> inc.Local_search.accepted then
+    fail "local search accepted counts diverged";
+  Printf.printf "smoke local search: full and incremental bit-identical\n%!"
 
 (* Failure replay: a short trace evaluated sequentially and fanned out must
    agree bit for bit, and the empty failure set must reproduce the baseline
@@ -145,7 +114,6 @@ let () =
     Bench_config.timed (fun () ->
         check_trajectory ~n:24 ~steps:150;
         check_local_search ();
-        check_ga ();
         check_failure ())
   in
   Printf.printf "bench smoke passed in %.1fs\n" elapsed

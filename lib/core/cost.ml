@@ -77,10 +77,10 @@ let evaluate_breakdown p ctx g =
 
 let evaluate p ctx g = (evaluate_breakdown p ctx g).total
 
-let state ?multipath ?repair ctx g =
+let state ctx g =
   if Graph.node_count g <> Context.n ctx then
     invalid_arg "Cost.state: graph size does not match context";
-  Incremental.create ?multipath ?repair g
+  Incremental.create g
     ~length:(fun u v -> Context.distance ctx u v)
     ~tm:ctx.Context.tm
 

@@ -15,9 +15,10 @@
 
     Two evaluation routes produce bit-identical scores: the stateless oracle
     {!evaluate} (route from scratch) and the stateful {!evaluate_state}
-    (recompute only what an edge flip affected — see
-    {!Cold_net.Incremental}). The optimizers use the latter; tests hold it
-    to the former. *)
+    (repair only what an edge flip affected — see {!Cold_net.Incremental}).
+    The GA, heuristic seeding and brute force use the former; simulated
+    annealing ({!Local_search}) uses the latter, and tests hold it to the
+    former. *)
 
 type params = {
   k0 : float;  (** Per-link existence cost. Dominant ⇒ spanning trees. *)
@@ -53,22 +54,17 @@ val evaluate_breakdown :
     feeding both the k1 and k2 sums); {!evaluate_state} shares the fold. *)
 
 val state :
-  ?multipath:bool ->
-  ?repair:bool ->
-  Cold_context.Context.t ->
-  Cold_graph.Graph.t ->
-  Cold_net.Incremental.t
+  Cold_context.Context.t -> Cold_graph.Graph.t -> Cold_net.Incremental.t
 (** [state ctx g] opens incremental evaluation state at topology [g], wired
     to the context's distances and traffic matrix — the constructor behind
-    {!evaluate_state}. [repair] (default [true]) selects the dynamic
-    in-place tree-repair engine; see {!Cold_net.Incremental.create}. *)
+    {!evaluate_state}; see {!Cold_net.Incremental.create}. *)
 
 val evaluate_state :
   params -> Cold_context.Context.t -> Cold_net.Incremental.t -> float
 (** [evaluate_state p ctx st] is the total cost of the state's current
     topology, bit-identical to [evaluate p ctx (Incremental.graph st)] but
-    recomputing only the shortest-path trees invalidated since the state
-    was last brought current. *)
+    repairing or recomputing only the shortest-path trees invalidated since
+    the state was last brought current. *)
 
 val pp_params : Format.formatter -> params -> unit
 

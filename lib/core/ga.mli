@@ -61,8 +61,6 @@ val run :
   ?domains:int ->
   ?cache_slots:int ->
   ?seeds:Cold_graph.Graph.t list ->
-  ?incremental:bool ->
-  ?repair:bool ->
   ?locality:int ->
   ?survivable:bool ->
   settings ->
@@ -70,21 +68,14 @@ val run :
   Cold_context.Context.t ->
   Cold_prng.Prng.t ->
   result
-(** [run ?seeds settings params ctx rng] evolves topologies for [ctx].
+(** [run ?seeds settings params ctx rng] evolves topologies for [ctx]: it is
+    {!run_custom} with [~objective:(Cost.evaluate params ctx)].
     Deterministic given the rng state. All returned topologies are
     connected.
 
-    [?incremental] (default [true]) costs mutants through the delta-aware
-    engine ({!Cold_net.Incremental}): every evaluated member keeps its
-    routing state, and a mutant — a handful of edge flips away from its
-    parent — recomputes only the shortest-path trees those flips affect.
-    Crossover children and cache hits evaluate as before. [false] scores
-    everything with {!Cost.evaluate} from scratch. [?repair] (default
-    [true]) additionally selects the dynamic in-place tree-repair engine
-    for those states ({!Cold_net.Incremental.create}); clones inherit it,
-    so the flag governs the whole population. All settings return
-    bit-identical results at every [?domains] count and differ only in
-    running time (and the memory for retained per-member states).
+    Every candidate the memo cannot answer is priced from scratch by
+    {!Cost.evaluate}. A chromosome's cost depends on nothing but the
+    chromosome, so population members carry no evaluation state.
 
     [?domains] (default 1) sets how many domains evaluate candidates
     concurrently; [0] autodetects ([Domain.recommended_domain_count]).

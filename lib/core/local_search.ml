@@ -67,7 +67,7 @@ let propose ?locality ctx ~into g rng ~node_move_prob =
   end;
   candidate
 
-let run ?(incremental = true) ?repair ?initial ?locality settings params ctx rng =
+let run ?(incremental = true) ?initial ?locality settings params ctx rng =
   if settings.iterations < 0 then invalid_arg "Local_search.run: negative iterations";
   if settings.cooling <= 0.0 || settings.cooling > 1.0 then
     invalid_arg "Local_search.run: cooling must be in (0, 1]";
@@ -78,7 +78,12 @@ let run ?(incremental = true) ?repair ?initial ?locality settings params ctx rng
     | Some g ->
       if Graph.node_count g <> n then
         invalid_arg "Local_search.run: initial topology size mismatch";
-      Graph.copy g
+      (* A disconnected start would cost infinity, and so would the start
+         temperature: annealing would accept every proposal. Repair draws
+         no randomness and leaves a connected start untouched. *)
+      let start = Graph.copy g in
+      ignore (Repair.repair ctx start);
+      start
     | None ->
       Cold_graph.Mst.mst_graph ~n ~weight:(fun u v -> Context.distance ctx u v)
   in
@@ -88,11 +93,11 @@ let run ?(incremental = true) ?repair ?initial ?locality settings params ctx rng
     (* Propose-on-state: the single-trajectory annealer is the ideal client
        of the incremental engine — each candidate differs from the current
        state by one or two edge flips (plus whatever repair touched), so
-       only the affected shortest-path trees are recomputed. Accept commits
+       only the affected shortest-path trees are repaired. Accept commits
        the flips; reject rolls them back. Costs, and therefore the whole
        accept/reject trajectory, are bit-identical to the full-evaluation
        loop below. *)
-    let st = Cost.state ?repair ctx start in
+    let st = Cost.state ctx start in
     let evaluate_st () =
       incr evaluations;
       Cost.evaluate_state params ctx st

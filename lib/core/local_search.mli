@@ -33,7 +33,6 @@ val hill_climb_settings : settings
 
 val run :
   ?incremental:bool ->
-  ?repair:bool ->
   ?initial:Cold_graph.Graph.t ->
   ?locality:int ->
   settings ->
@@ -42,20 +41,19 @@ val run :
   Cold_prng.Prng.t ->
   result
 (** [run settings params ctx rng] anneals from [initial] (default: the
-    Euclidean MST). The result is always connected; the returned best is the
-    cheapest topology ever visited, not the final state.
+    Euclidean MST). A disconnected [initial] is first connected by
+    {!Repair.repair} (a copy; the argument is not modified). The result is
+    always connected; the returned best is the cheapest topology ever
+    visited, not the final state.
 
     [incremental] (default [true]) evaluates proposals through the
     delta-aware engine ({!Cold_net.Incremental}): each candidate's edge
     flips are applied to persistent evaluation state, committed on accept
     and rolled back on reject, so only affected shortest-path trees are
-    recomputed — or, with the default [repair:true], repaired in place by
-    the dynamic SSSP engine ({!Cold_net.Incremental.create}).
-    [repair:false] selects the mark-dirty/full-Dijkstra engine; the flag is
-    meaningless without [incremental]. [false] evaluates every candidate
-    from scratch with {!Cost.evaluate}. All paths are bit-identical — same
-    proposals, same costs, same trajectory, same result — differing only in
-    running time.
+    repaired in place. [false] evaluates every candidate from scratch with
+    {!Cost.evaluate} — the reference the engine is tested against. Both
+    paths are bit-identical — same proposals, same costs, same trajectory,
+    same result — differing only in running time.
 
     [?locality:k] replaces the uniform link toggle with a 50/50 choice
     between removing a uniform existing link and adding one from a uniform

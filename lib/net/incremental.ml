@@ -8,13 +8,14 @@ type op = Add of int * int | Remove of int * int
 (* Raised inside a repair pass when completing it would violate the repair
    certificate (see Shortest_path.canonical) — i.e. when the fresh run's
    settle order could depend on push history rather than final distances.
-   The caller falls back to marking the source dirty; the next refresh runs
-   a full Dijkstra, so bit-identity holds either way. *)
+   The caller falls back to marking the source dirty — the bail-out path —
+   and the next refresh runs a full Dijkstra, so bit-identity holds either
+   way. *)
 exception Bail
 
 (* Per-state scratch for the repair pass, lazily allocated: states that
-   never repair (repair:false, or topologies that always bail) never pay
-   for it. A state belongs to one domain at a time, so no sharing hazard. *)
+   never repair (topologies that always bail) never pay for it. A state
+   belongs to one domain at a time, so no sharing hazard. *)
 type scratch = {
   rheap : Heap.Indexed.t; (* decrease-key frontier *)
   mark : bool array; (* remove-repair: cut-subtree membership *)
@@ -28,17 +29,15 @@ type t = {
   g : Graph.t; (* private copy; the current (possibly uncommitted) topology *)
   length : int -> int -> float;
   tm : Gravity.t;
-  multipath : bool;
-  repair : bool; (* dynamic-SSSP engine: repair trees in place per flip *)
   n : int;
   trees : Shortest_path.tree array; (* trees.(s) is current iff not dirty.(s) *)
   dirty : bool array;
   (* canon.(s): the clean tree satisfies the repair certificate
-     (Shortest_path.canonical). Tracked for BOTH engines: the dynamic engine
-     gates in-place repair on it, and the affected-source tests fall back to
-     a stronger conservative criterion without it (settle order is only a
-     function of final distances under the certificate). Meaningful only
-     while not dirty.(s); refresh re-derives it from the fresh tree. *)
+     (Shortest_path.canonical). In-place repair is gated on it, and the
+     affected-source tests fall back to a stronger conservative criterion
+     without it (settle order is only a function of final distances under
+     the certificate). Meaningful only while not dirty.(s); refresh
+     re-derives it from the fresh tree. *)
   canon : bool array;
   mutable dirty_count : int;
   (* n*n loads; meaningful iff matrix_valid. Allocated lazily on the first
@@ -67,7 +66,7 @@ type t = {
 
 let dummy_tree = { Shortest_path.dist = [||]; pred = [||]; order = [||] }
 
-let create ?(multipath = false) ?(repair = true) g ~length ~tm =
+let create g ~length ~tm =
   let n = Graph.node_count g in
   if Gravity.size tm <> n then invalid_arg "Incremental.create: size mismatch";
   let pair_dem = Array.make (max (n * n) 1) 0.0 in
@@ -80,8 +79,6 @@ let create ?(multipath = false) ?(repair = true) g ~length ~tm =
     g = Graph.copy g;
     length;
     tm;
-    multipath;
-    repair;
     n;
     trees = Array.make n dummy_tree;
     dirty = Array.make n true;
@@ -102,8 +99,6 @@ let create ?(multipath = false) ?(repair = true) g ~length ~tm =
   }
 
 let graph st = st.g
-
-let pending_sources st = st.dirty_count
 
 let recomputed_trees st = st.recomputed
 
@@ -140,9 +135,7 @@ let mark_dirty st s =
      predecessor in the run's smaller-id tie-break (pred is the minimum id
      over tying achievers that settle first, so a tie with u ≥ pred_s(v)
      changes nothing). An exact tie between two unreachable endpoints
-     (∞ = ∞ + l) falls out via pred = -1. ECMP load splits need no marking
-     at all: multipath accumulation re-derives the split from dist and the
-     current adjacency on every loads, and neither moved.
+     (∞ = ∞ + l) falls out via pred = -1.
 
    WITHOUT the certificate (zero-length links: colocated PoPs) the settle
    order within an equal-distance group depends on push timing — a vertex
@@ -160,9 +153,9 @@ let mark_dirty st s =
    the strict relax that later installs the final distance).
 
    - A removed edge {u,v} matters only if it was a tree edge of s
-     (pred-linked) or tied a shortest distance exactly (an ECMP member, or
-     the zero-length corner where equal-distance settling order could lean
-     on it). Non-tree, non-tied edges influence no final distance and no
+     (pred-linked) or tied a shortest distance exactly (the zero-length
+     corner where equal-distance settling order could lean on it).
+     Non-tree, non-tied edges influence no final distance and no
      settling push — a push at final priority through {u,v} needs
      dist_s(u) + l = dist_s(v) exactly (u relaxes only once settled, i.e.
      final), which IS the marked tie — so this test needs no certificate.
@@ -508,12 +501,12 @@ let try_repair_remove st s u v =
   else if pred.(u) = v then repair_remove_subtree st ~child:u t
   else Unchanged
 
-(* Dispatch one flip's effect on source [s]: repair in place when the
-   dynamic engine is on and the tree carries the certificate, otherwise
-   (or on bail) mark dirty for the next refresh. Every path snapshots the
-   source first, so rollback restores the pre-flip tree either way. *)
+(* Dispatch one flip's effect on source [s]: repair in place when the tree
+   carries the certificate, otherwise (or on bail) mark dirty for the next
+   refresh. Every path snapshots the source first, so rollback restores the
+   pre-flip tree either way. *)
 let apply_to_source st s repair_fn =
-  if st.repair && st.canon.(s) then begin
+  if st.canon.(s) then begin
     touch st s;
     match repair_fn () with
     | Unchanged -> ()
@@ -535,7 +528,7 @@ let add_edge st u v =
     patch_adj st u v;
     st.journal <- Add (u, v) :: st.journal;
     st.matrix_valid <- false;
-    if st.repair then refresh_adj st;
+    refresh_adj st;
     for s = 0 to st.n - 1 do
       if (not st.dirty.(s)) && affected_by_add st s u v l then
         apply_to_source st s (fun () -> try_repair_add st s u v l)
@@ -549,7 +542,7 @@ let remove_edge st u v =
     patch_adj st u v;
     st.journal <- Remove (u, v) :: st.journal;
     st.matrix_valid <- false;
-    if st.repair then refresh_adj st;
+    refresh_adj st;
     for s = 0 to st.n - 1 do
       if (not st.dirty.(s)) && affected_by_remove st s u v l then
         apply_to_source st s (fun () -> try_repair_remove st s u v)
@@ -589,13 +582,6 @@ let refresh st =
 let loads st =
   refresh st;
   if not st.matrix_valid then begin
-    let adj =
-      if st.multipath then begin
-        refresh_adj st;
-        Some st.adj
-      end
-      else None
-    in
     if Array.length st.matrix < st.n * st.n then
       st.matrix <- Array.make (st.n * st.n) 0.0
     else Array.fill st.matrix 0 (st.n * st.n) 0.0;
@@ -607,9 +593,9 @@ let loads st =
       if Array.length tree.Shortest_path.order < st.n then
         Routing.check_routable ~tm:st.tm ~dist:tree.Shortest_path.dist
           ~source:s;
-      Routing.accumulate ?adj ~pair_demands:st.pair_dem
-        ~multipath:st.multipath ~length:st.length ~tm:st.tm ~matrix:st.matrix
-        ~subtree:st.subtree ~n:st.n tree ~source:s
+      Routing.accumulate ~pair_demands:st.pair_dem ~multipath:false
+        ~length:st.length ~tm:st.tm ~matrix:st.matrix ~subtree:st.subtree
+        ~n:st.n tree ~source:s
     done;
     st.matrix_valid <- true
   end;
@@ -655,8 +641,6 @@ let clone st =
     g = Graph.copy st.g;
     length = st.length;
     tm = st.tm;
-    multipath = st.multipath;
-    repair = st.repair;
     n = st.n;
     (* Tree records are immutable once built (refresh and repair replace,
        never mutate), so sharing them across clones is safe. *)
@@ -668,7 +652,7 @@ let clone st =
        the (shared, immutable) trees, so a clone can start from an empty
        buffer and still produce bit-identical loads. This turns clone from
        O(n²) floats into O(n) + adjacency-pointer copies — the difference
-       between 8 MB and a few KB per GA mutant at n = 1000. *)
+       between 8 MB and a few KB per clone at n = 1000. *)
     matrix = [||];
     subtree = Array.make (max st.n 1) 0.0;
     pair_dem = st.pair_dem; (* immutable; shared *)

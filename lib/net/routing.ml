@@ -55,8 +55,7 @@ let check_routable ~tm ~dist ~source =
    view and the length function. *)
 type ecmp = {
   e_dist : float array;
-  e_csr : Graph.Csr.t option;
-  e_adj : int array array option;
+  e_csr : Graph.Csr.t;
   e_length : int -> int -> float;
 }
 
@@ -64,10 +63,7 @@ let[@inline] add_load matrix n u v w =
   matrix.((u * n) + v) <- matrix.((u * n) + v) +. w;
   matrix.((v * n) + u) <- matrix.((u * n) + v)
 
-(* ECMP: every neighbour on a shortest path shares [v]'s subtree equally.
-   CSR segments and adjacency rows enumerate the same neighbours in the
-   same ascending order, so the accumulated [preds] list — and every
-   downstream float — is identical either way. *)
+(* ECMP: every neighbour on a shortest path shares [v]'s subtree equally. *)
 let split_ecmp e ~matrix ~subtree ~n ~pred ~source v =
   let dist = e.e_dist and length = e.e_length in
   let on_path u =
@@ -75,18 +71,9 @@ let split_ecmp e ~matrix ~subtree ~n ~pred ~source v =
     && dist.(u) < dist.(v)
   in
   let preds =
-    match e.e_csr with
-    | Some c ->
-      Graph.Csr.fold_neighbors c v
-        (fun acc u -> if on_path u then u :: acc else acc)
-        []
-    | None ->
-      (match e.e_adj with
-      | Some neighbours ->
-        Array.fold_left
-          (fun acc u -> if on_path u then u :: acc else acc)
-          [] neighbours.(v)
-      | None -> invalid_arg "Routing.accumulate: multipath needs ~adj")
+    Graph.Csr.fold_neighbors e.e_csr v
+      (fun acc u -> if on_path u then u :: acc else acc)
+      []
   in
   (* Degenerate geometries (zero-length links) can leave the strict
      distance test empty; fall back to the tree predecessor. *)
@@ -121,7 +108,7 @@ let accumulate_order ~ecmp ~matrix ~subtree ~n ~pair ~base ~pred ~order ~count
     end
   done
 
-let accumulate ?adj ?csr ?pair_demands ~multipath ~length ~tm ~matrix ~subtree
+let accumulate ?csr ?pair_demands ~multipath ~length ~tm ~matrix ~subtree
     ~n tree ~source =
   let (pair, base) =
     match pair_demands with
@@ -133,9 +120,10 @@ let accumulate ?adj ?csr ?pair_demands ~multipath ~length ~tm ~matrix ~subtree
   in
   let dist = tree.Shortest_path.dist and order = tree.Shortest_path.order in
   let ecmp =
-    if multipath then
-      Some { e_dist = dist; e_csr = csr; e_adj = adj; e_length = length }
-    else None
+    match (multipath, csr) with
+    | (false, _) -> None
+    | (true, Some csr) -> Some { e_dist = dist; e_csr = csr; e_length = length }
+    | (true, None) -> invalid_arg "Routing.accumulate: multipath needs ~csr"
   in
   accumulate_order ~ecmp ~matrix ~subtree ~n ~pair ~base
     ~pred:tree.Shortest_path.pred ~order ~count:(Array.length order) ~source
@@ -177,8 +165,7 @@ let route ?(multipath = false) g ~length ~tm =
       Some
         {
           e_dist = (Shortest_path.settled_tree sp).Shortest_path.dist;
-          e_csr = Some csr;
-          e_adj = None;
+          e_csr = csr;
           e_length = length;
         }
     else None

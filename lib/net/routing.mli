@@ -68,7 +68,6 @@ val check_routable : tm:Cold_traffic.Gravity.t -> dist:float array -> source:int
     reaches a finite-distance destination in [dist]. *)
 
 val accumulate :
-  ?adj:int array array ->
   ?csr:Cold_graph.Graph.Csr.t ->
   ?pair_demands:float array ->
   multipath:bool ->
@@ -82,10 +81,8 @@ val accumulate :
   unit
 (** Push [source]'s demands down its tree in reverse settling order, adding
     onto [matrix] (row-major n×n, mirrored) using [subtree] (length ≥ n) as
-    scratch. An adjacency view — [~csr] (a {!Cold_graph.Graph.Csr} snapshot,
-    preferred) or [~adj] (the graph's adjacency arrays) — is required when
-    [multipath] is true and ignored otherwise; both enumerate neighbours in
-    the same ascending order, so results are bit-identical. [?pair_demands]
+    scratch. A {!Cold_graph.Graph.Csr} snapshot [~csr] is required when
+    [multipath] is true and ignored otherwise. [?pair_demands]
     is an optional row-major n×n table read as [pd.(s*n+d)] in place of
     [Gravity.pair_demand tm s d] — a precomputed copy of those values, or
     a caller's own (e.g. with failed pairs zeroed). *)

@@ -2,9 +2,9 @@
    edge flips, rollbacks, retargets and clones a state has been through, its
    loads and costs must be byte-for-byte what a fresh full evaluation of the
    same topology produces. These tests drive randomized op sequences (well
-   over a thousand perturbations across seeds and routing modes) against a
-   mirror graph evaluated from scratch, comparing load matrices, trees and
-   cost totals bitwise — no tolerances anywhere. *)
+   over a thousand perturbations across seeds and metrics) against a mirror
+   graph evaluated from scratch, comparing load matrices, trees and cost
+   totals bitwise — no tolerances anywhere. *)
 
 module Graph = Cold_graph.Graph
 module Heap = Cold_graph.Heap
@@ -72,8 +72,9 @@ let flip ?mirror st rng n =
 (* [?ctx] substitutes an adversarial context (e.g. colocated PoPs);
    [?length] substitutes an adversarial metric (e.g. unit lengths) — the
    cost cross-check is skipped then, since Cost always prices by the
-   context's own distances. [?repair] picks the engine (default dynamic). *)
-let sweep ?ctx ?length ?repair ~multipath ~seed ~iterations n =
+   context's own distances. Returns the state's trees repaired in place and
+   its trees recomputed after the first refresh (the bail-out path). *)
+let sweep ?ctx ?length ~seed ~iterations n =
   let ctx = match ctx with Some c -> c | None -> ctx_of seed n in
   let check_cost = Option.is_none length in
   let length =
@@ -85,13 +86,13 @@ let sweep ?ctx ?length ?repair ~multipath ~seed ~iterations n =
   let params = Cost.params ~k2:2e-4 ~k3:0.3 () in
   let rng = Prng.create ((seed * 7919) + 1) in
   let g0 = Mst.mst_graph ~n ~weight:length in
-  let st = Incremental.create ~multipath ?repair g0 ~length ~tm in
+  let st = Incremental.create g0 ~length ~tm in
   let mirror = ref (Graph.copy g0) in
   let check label =
     if not (Graph.equal (Incremental.graph st) !mirror) then
       Alcotest.failf "%s: state graph diverged from mirror" label;
     let fresh =
-      match Routing.route ~multipath !mirror ~length ~tm with
+      match Routing.route !mirror ~length ~tm with
       | exception Routing.Disconnected -> None
       | l -> Some l
     in
@@ -104,7 +105,7 @@ let sweep ?ctx ?length ?repair ~multipath ~seed ~iterations n =
     | None, None -> ()
     | Some want, Some got ->
       check_loads_equal label n got want;
-      if (not multipath) && check_cost then begin
+      if check_cost then begin
         let a = Cost.evaluate params ctx !mirror in
         let b = Cost.evaluate_state params ctx st in
         if not (feq_bits a b) then
@@ -114,8 +115,9 @@ let sweep ?ctx ?length ?repair ~multipath ~seed ~iterations n =
     | None, Some _ -> Alcotest.failf "%s: fresh says disconnected" label
   in
   check "initial";
+  let first_refresh = Incremental.recomputed_trees st in
   for step = 1 to iterations do
-    let label what = Printf.sprintf "seed %d mp %b step %d %s" seed multipath step what in
+    let label what = Printf.sprintf "seed %d step %d %s" seed step what in
     (match Prng.int rng 12 with
     | 0 | 1 | 2 | 3 | 4 | 5 ->
       flip ~mirror:!mirror st rng n;
@@ -156,7 +158,7 @@ let sweep ?ctx ?length ?repair ~multipath ~seed ~iterations n =
       Incremental.commit c;
       let cg = Graph.copy (Incremental.graph c) in
       let fresh =
-        match Routing.route ~multipath cg ~length ~tm with
+        match Routing.route cg ~length ~tm with
         | exception Routing.Disconnected -> None
         | l -> Some l
       in
@@ -171,29 +173,19 @@ let sweep ?ctx ?length ?repair ~multipath ~seed ~iterations n =
       | _ -> Alcotest.failf "%s: clone feasibility disagrees" (label "clone")));
     check (label "committed")
   done;
-  Incremental.repaired_trees st
+  ( Incremental.repaired_trees st,
+    Incremental.recomputed_trees st - first_refresh )
 
 let test_sweep_single_path () =
   let repaired =
     List.fold_left
-      (fun acc seed -> acc + sweep ~multipath:false ~seed ~iterations:170 13)
-      0 [ 1; 2; 3 ]
+      (fun acc seed -> acc + fst (sweep ~seed ~iterations:170 13))
+      0 [ 1; 2; 3; 4 ]
   in
-  (* The default engine must actually repair, not silently bail everywhere. *)
+  (* The engine must actually repair, not silently bail everywhere. *)
   Alcotest.(check bool)
-    (Printf.sprintf "dynamic engine repaired trees (got %d)" repaired)
+    (Printf.sprintf "trees repaired in place (got %d)" repaired)
     true (repaired > 0)
-
-let test_sweep_multipath () =
-  let repaired = sweep ~multipath:true ~seed:4 ~iterations:170 13 in
-  Alcotest.(check bool) "dynamic engine repaired trees" true (repaired > 0)
-
-let test_sweep_mark_dirty_engine () =
-  (* The repair:false engine must stay available and exact — and never
-     report repairs. *)
-  let r1 = sweep ~repair:false ~multipath:false ~seed:5 ~iterations:90 13 in
-  let r2 = sweep ~repair:false ~multipath:true ~seed:6 ~iterations:70 13 in
-  Alcotest.(check int) "mark-dirty engine never repairs" 0 (r1 + r2)
 
 (* --- adversarial tie-heavy topologies ----------------------------------------- *)
 
@@ -213,26 +205,34 @@ let colocated_ctx n =
 
 let test_sweep_colocated_pops () =
   let n = 12 in
-  ignore (sweep ~ctx:(colocated_ctx n) ~multipath:false ~seed:31 ~iterations:130 n);
-  ignore (sweep ~ctx:(colocated_ctx n) ~multipath:true ~seed:32 ~iterations:90 n)
+  let bailed =
+    List.fold_left
+      (fun acc (seed, iterations) ->
+        acc + snd (sweep ~ctx:(colocated_ctx n) ~seed ~iterations n))
+      0 [ (31, 130); (32, 90) ]
+  in
+  (* The sweep is only a test of the bail-out path if it took it. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "trees recomputed after the first refresh (got %d)" bailed)
+    true (bailed > 0)
 
 let test_sweep_unit_lengths () =
   (* Every link weight 1: path lengths collapse onto small integers, so
      equal-length alternative routes are everywhere and every repair leans
      on the canonical (priority, vertex-id) tie-break. *)
-  let r = sweep ~length:(fun _ _ -> 1.0) ~multipath:false ~seed:33 ~iterations:150 13 in
+  let (r, _) = sweep ~length:(fun _ _ -> 1.0) ~seed:33 ~iterations:150 13 in
   Alcotest.(check bool) "unit-length sweep exercises repair" true (r > 0);
-  ignore (sweep ~length:(fun _ _ -> 1.0) ~multipath:true ~seed:34 ~iterations:90 13)
+  ignore (sweep ~length:(fun _ _ -> 1.0) ~seed:34 ~iterations:90 13)
 
 let test_sweep_quantized_lengths () =
   (* Two-valued metric: multigraph-like parallel shortest candidates between
      whole regions, plus exact float ties in every relaxation. *)
   let length u v = if (u + v) mod 2 = 0 then 2.0 else 1.0 in
-  ignore (sweep ~length ~multipath:false ~seed:35 ~iterations:150 13);
-  ignore (sweep ~length ~multipath:true ~seed:36 ~iterations:90 13)
+  ignore (sweep ~length ~seed:35 ~iterations:150 13);
+  ignore (sweep ~length ~seed:36 ~iterations:90 13)
 
 let test_perturbation_budget () =
-  (* The two sweeps above must together exceed the required op count. *)
+  (* The sweeps above must together exceed the required op count. *)
   Alcotest.(check bool)
     (Printf.sprintf "at least 1000 perturbations (got %d)" !perturbations)
     true
@@ -421,61 +421,6 @@ let test_batched_journal () =
   Alcotest.(check bool) "batched journals exercised repair" true
     (Incremental.repaired_trees st > 0)
 
-(* --- dual-engine lockstep ------------------------------------------------------ *)
-
-let test_dual_engine_lockstep () =
-  (* Drive the dynamic and the mark-dirty engines through the identical op
-     sequence and demand bitwise-equal loads at every checkpoint: any drift
-     between repair and recompute shows up as a direct diff, independent of
-     the oracle. *)
-  let n = 14 in
-  let ctx = ctx_of 71 n in
-  let length u v = Context.distance ctx u v in
-  let tm = ctx.Context.tm in
-  let rng = Prng.create 72 in
-  let g0 = Mst.mst_graph ~n ~weight:length in
-  let dyn = Incremental.create ~repair:true g0 ~length ~tm in
-  let mrk = Incremental.create ~repair:false g0 ~length ~tm in
-  for step = 1 to 150 do
-    let (u, v) = random_pair rng n in
-    incr perturbations;
-    if Graph.mem_edge (Incremental.graph dyn) u v then begin
-      Incremental.remove_edge dyn u v;
-      Incremental.remove_edge mrk u v
-    end
-    else begin
-      Incremental.add_edge dyn u v;
-      Incremental.add_edge mrk u v
-    end;
-    let commit = Prng.int rng 4 < 3 in
-    let compare_now () =
-      let of_state st =
-        match Incremental.loads st with
-        | exception Routing.Disconnected -> None
-        | l -> Some l
-      in
-      match (of_state mrk, of_state dyn) with
-      | None, None -> ()
-      | Some want, Some got ->
-        check_loads_equal (Printf.sprintf "step %d" step) n got want
-      | _ -> Alcotest.failf "step %d: engines disagree on feasibility" step
-    in
-    compare_now ();
-    if commit then begin
-      Incremental.commit dyn;
-      Incremental.commit mrk
-    end
-    else begin
-      Incremental.rollback dyn;
-      Incremental.rollback mrk;
-      compare_now ()
-    end
-  done;
-  Alcotest.(check bool) "dynamic engine repaired" true
-    (Incremental.repaired_trees dyn > 0);
-  Alcotest.(check int) "mark-dirty engine never repairs" 0
-    (Incremental.repaired_trees mrk)
-
 (* --- indexed heap ------------------------------------------------------------- *)
 
 let test_indexed_heap_matches_lazy () =
@@ -537,21 +482,15 @@ let test_local_search_incremental_bitwise () =
   let params = Cost.params ~k2:2e-4 () in
   let settings = { Local_search.default_settings with Local_search.iterations = 600 } in
   let full = Local_search.run ~incremental:false settings params ctx (Prng.create 22) in
-  List.iter
-    (fun (label, repair) ->
-      let b =
-        Local_search.run ~incremental:true ~repair settings params ctx
-          (Prng.create 22)
-      in
-      Alcotest.(check bool) (label ^ ": best graph identical") true
-        (Graph.equal full.Local_search.best b.Local_search.best);
-      Alcotest.(check bool) (label ^ ": best cost bit-identical") true
-        (feq_bits full.Local_search.best_cost b.Local_search.best_cost);
-      Alcotest.(check int) (label ^ ": same accepted count")
-        full.Local_search.accepted b.Local_search.accepted;
-      Alcotest.(check int) (label ^ ": same evaluation count")
-        full.Local_search.evaluations b.Local_search.evaluations)
-    [ ("dynamic", true); ("mark-dirty", false) ]
+  let b = Local_search.run settings params ctx (Prng.create 22) in
+  Alcotest.(check bool) "best graph identical" true
+    (Graph.equal full.Local_search.best b.Local_search.best);
+  Alcotest.(check bool) "best cost bit-identical" true
+    (feq_bits full.Local_search.best_cost b.Local_search.best_cost);
+  Alcotest.(check int) "same accepted count" full.Local_search.accepted
+    b.Local_search.accepted;
+  Alcotest.(check int) "same evaluation count" full.Local_search.evaluations
+    b.Local_search.evaluations
 
 let () =
   Alcotest.run "cold_incremental"
@@ -559,9 +498,6 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "single-path equivalence" `Quick test_sweep_single_path;
-          Alcotest.test_case "multipath equivalence" `Quick test_sweep_multipath;
-          Alcotest.test_case "mark-dirty engine equivalence" `Quick
-            test_sweep_mark_dirty_engine;
           Alcotest.test_case "colocated PoPs (zero-length ties)" `Quick
             test_sweep_colocated_pops;
           Alcotest.test_case "unit lengths (tie-heavy)" `Quick
@@ -570,8 +506,6 @@ let () =
             test_sweep_quantized_lengths;
           Alcotest.test_case "batched multi-flip journals" `Quick
             test_batched_journal;
-          Alcotest.test_case "dual-engine lockstep" `Quick
-            test_dual_engine_lockstep;
           Alcotest.test_case "perturbation budget" `Quick test_perturbation_budget;
         ] );
       ( "heap",

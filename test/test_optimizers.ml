@@ -74,6 +74,34 @@ let test_ls_initial_respected () =
   Alcotest.(check (float 1e-9)) "zero iterations returns initial cost" star_cost
     r.Local_search.best_cost
 
+let test_ls_disconnected_initial () =
+  (* An edgeless start is connected before the first evaluation, so the
+     result is connected at a finite cost even with no iterations, and the
+     start temperature is finite: annealing does not degrade into a random
+     walk that accepts nearly every proposal. *)
+  let ctx = ctx_of 3 10 in
+  let params = Cost.params () in
+  List.iter
+    (fun (incremental, iterations) ->
+      let r =
+        Local_search.run ~incremental ~initial:(Graph.create 10)
+          { Local_search.default_settings with Local_search.iterations }
+          params ctx (Prng.create 4)
+      in
+      let label what =
+        Printf.sprintf "incremental %b, %d iterations: %s" incremental
+          iterations what
+      in
+      Alcotest.(check bool) (label "connected") true
+        (Traversal.is_connected r.Local_search.best);
+      Alcotest.(check bool) (label "finite cost") true
+        (Float.is_finite r.Local_search.best_cost);
+      Alcotest.(check (float 0.0)) (label "cost of best")
+        (Cost.evaluate params ctx r.Local_search.best) r.Local_search.best_cost;
+      Alcotest.(check bool) (label "rejects some proposals") true
+        (iterations = 0 || r.Local_search.accepted < iterations * 3 / 4))
+    [ (true, 0); (true, 400); (false, 400) ]
+
 let test_ls_invalid () =
   let ctx = ctx_of 11 8 in
   Alcotest.check_raises "bad initial size"
@@ -207,6 +235,8 @@ let () =
           Alcotest.test_case "hill climbing" `Quick test_hill_climb_monotone;
           Alcotest.test_case "optimal small n" `Quick test_ls_finds_optimum_small;
           Alcotest.test_case "initial respected" `Quick test_ls_initial_respected;
+          Alcotest.test_case "disconnected initial" `Quick
+            test_ls_disconnected_initial;
           Alcotest.test_case "invalid" `Quick test_ls_invalid;
         ] );
       ( "ga_custom",

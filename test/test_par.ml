@@ -206,9 +206,9 @@ let small_settings =
     num_mutation = 6;
   }
 
-let ga_run ?cache_slots ?incremental ?repair ~domains () =
+let ga_run ?cache_slots ~domains () =
   let ctx = Context.generate (Context.default_spec ~n:10) (Prng.create 11) in
-  Ga.run ?cache_slots ?incremental ?repair ~domains small_settings
+  Ga.run ?cache_slots ~domains small_settings
     (Cost.params ~k2:2e-4 ()) ctx (Prng.create 12)
 
 let check_same_result label (a : Ga.result) (b : Ga.result) =
@@ -236,33 +236,7 @@ let test_ga_domains_deterministic () =
         (Printf.sprintf "%d domains" domains)
         seq
         (ga_run ~domains ()))
-    [ 2; 4 ]
-
-let test_ga_incremental_neutral () =
-  (* The delta-aware evaluation path must be invisible in results: full
-     recomputation at 1 domain is the reference, and the default engine —
-     dynamic in-place tree repair — must reproduce it bit-for-bit at 1, 2,
-     4 and 8 domains. *)
-  let full = ga_run ~incremental:false ~domains:1 () in
-  List.iter
-    (fun domains ->
-      check_same_result
-        (Printf.sprintf "dynamic @ %d domains vs full" domains)
-        full
-        (ga_run ~incremental:true ~domains ()))
-    [ 1; 2; 4; 8 ]
-
-let test_ga_mark_dirty_neutral () =
-  (* Same oracle for the mark-dirty engine (repair:false): selecting it must
-     change nothing but running time. *)
-  let full = ga_run ~incremental:false ~domains:1 () in
-  List.iter
-    (fun domains ->
-      check_same_result
-        (Printf.sprintf "mark-dirty @ %d domains vs full" domains)
-        full
-        (ga_run ~incremental:true ~repair:false ~domains ()))
-    [ 1; 4 ]
+    [ 2; 4; 8 ]
 
 let test_ga_cache_neutral () =
   let off = ga_run ~domains:1 ~cache_slots:0 () in
@@ -328,10 +302,6 @@ let () =
         [
           Alcotest.test_case "ga across domain counts" `Slow
             test_ga_domains_deterministic;
-          Alcotest.test_case "ga incremental neutral at 1/2/4/8 domains" `Slow
-            test_ga_incremental_neutral;
-          Alcotest.test_case "ga mark-dirty engine neutral" `Slow
-            test_ga_mark_dirty_neutral;
           Alcotest.test_case "ga cache neutral" `Slow test_ga_cache_neutral;
           Alcotest.test_case "ensemble across domain counts" `Slow
             test_ensemble_domains_deterministic;
