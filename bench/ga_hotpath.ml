@@ -35,7 +35,7 @@ module Local_search = Cold.Local_search
 
 type cell = {
   bench : string;
-  variant : string; (* "full" | "dynamic" | "locality" *)
+  variant : string; (* "full" | "dynamic" *)
   n : int;
   domains : int;
   evals_per_sec : float;
@@ -77,23 +77,21 @@ let ctx_for n =
 
 let params = Cost.params ~k2:1e-4 ()
 
-let measure_ga ?locality ~settings ~n ~domains () =
+let measure_ga ~settings ~n ~domains () =
   let ctx = ctx_for n in
   let run () =
-    Ga.run ?locality ~domains ~cache_slots:0 settings params ctx
-      (Prng.create 42)
+    Ga.run ~domains ~cache_slots:0 settings params ctx (Prng.create 42)
   in
   let (result, wall) = Config.time_it run in
   (result, wall, float_of_int result.Cold.Ga.evaluations /. wall)
 
-let measure_ls ?locality ?incremental ~iterations ~n () =
+let measure_ls ?incremental ~iterations ~n () =
   let ctx = ctx_for n in
   let settings =
     { Local_search.default_settings with Local_search.iterations }
   in
   let run () =
-    Local_search.run ?locality ?incremental settings params ctx
-      (Prng.create 43)
+    Local_search.run ?incremental settings params ctx (Prng.create 43)
   in
   let (result, wall) = Config.time_it run in
   (result, wall, float_of_int result.Local_search.evaluations /. wall)
@@ -183,16 +181,13 @@ let run () =
 
 (* ------------------------------------------------------------------ *)
 (* Large-n scaling cells: n ∈ {100, 300, 1000}, the same two workloads —
-   full recomputation, the dynamic in-place repair engine for local search
-   (on the same RNG trajectory, asserted bit-identical), and the opt-in
-   spatial locality mode (its own deterministic trajectory, so its cost is
-   reported, not asserted). Settings shrink with n so the n = 1000 cells
+   full recomputation, and the dynamic in-place repair engine for local
+   search (on the same RNG trajectory, asserted bit-identical). Settings
+   shrink with n so the n = 1000 cells
    stay minutes, not hours: the quantity measured is evals/sec of the
    evaluation engine, which tiny populations sample just as well. Runs
    under the @bench-large alias (COLD_BENCH_ONLY=ga_hotpath_large), never
    under @runtest. *)
-
-let locality_k = 10
 
 let large_ga n =
   let base = Cold.Ga.default_settings in
@@ -220,7 +215,7 @@ let large_ns =
 
 let run_large () =
   Config.section
-    "Large-n scaling: full vs incremental vs locality (BENCH_ga.json)";
+    "Large-n scaling: full vs incremental (BENCH_ga.json)";
   let cells = ref [] in
   let add c =
     print_cell c;
@@ -240,13 +235,6 @@ let run_large () =
         { bench = "ga_hotpath"; variant = "full"; n; domains = 1;
           evals_per_sec = full_eps; wall_s = full_wall; speedup_vs_seq = 1.0;
           speedup_vs_full = 1.0 };
-      let (_loc_r, loc_wall, loc_eps) =
-        measure_ga ~locality:locality_k ~settings ~n ~domains:1 ()
-      in
-      add
-        { bench = "ga_hotpath"; variant = "locality"; n; domains = 1;
-          evals_per_sec = loc_eps; wall_s = loc_wall; speedup_vs_seq = 1.0;
-          speedup_vs_full = loc_eps /. full_eps };
       let iterations = large_ls_iterations n in
       let (full_r, full_wall, full_eps) =
         measure_ls ~incremental:false ~iterations ~n ()
@@ -262,14 +250,7 @@ let run_large () =
       add
         { bench = "local_search"; variant = "dynamic"; n; domains = 1;
           evals_per_sec = inc_eps; wall_s = inc_wall; speedup_vs_seq = 1.0;
-          speedup_vs_full = inc_eps /. full_eps };
-      let (_loc_r, loc_wall, loc_eps) =
-        measure_ls ~locality:locality_k ~iterations ~n ()
-      in
-      add
-        { bench = "local_search"; variant = "locality"; n; domains = 1;
-          evals_per_sec = loc_eps; wall_s = loc_wall; speedup_vs_seq = 1.0;
-          speedup_vs_full = loc_eps /. full_eps })
+          speedup_vs_full = inc_eps /. full_eps })
     large_ns;
   List.iter
     (fun (n, r) ->

@@ -14,9 +14,24 @@ module Summary = Cold_metrics.Summary
 
 (* --- shared options ---------------------------------------------------------- *)
 
+(* Converters that reject a value below the library's own bound as a usage
+   error: cmdliner then exits 124 naming the option, instead of the library
+   raising Invalid_argument mid-run. *)
+let at_least conv pp min =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when v >= min -> Ok v
+    | Ok _ -> Error (`Msg (Format.asprintf "must be at least %a" pp min))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_at_least = at_least Arg.int Format.pp_print_int
+let float_at_least = at_least Arg.float (fun ppf -> Format.fprintf ppf "%g")
+
 let pops =
-  let doc = "Number of PoPs to synthesize." in
-  Arg.(value & opt int 30 & info [ "n"; "pops" ] ~docv:"N" ~doc)
+  let doc = "Number of PoPs to synthesize (at least 2)." in
+  Arg.(value & opt (int_at_least 2) 30 & info [ "n"; "pops" ] ~docv:"N" ~doc)
 
 let seed =
   let doc = "Random seed (contexts and the GA are deterministic given it)." in
@@ -24,23 +39,23 @@ let seed =
 
 let k0 =
   let doc = "Per-link existence cost k0." in
-  Arg.(value & opt float 10.0 & info [ "k0" ] ~docv:"K0" ~doc)
+  Arg.(value & opt (float_at_least 0.0) 10.0 & info [ "k0" ] ~docv:"K0" ~doc)
 
 let k2 =
   let doc = "Bandwidth-length cost k2 (the paper explores 2.5e-5 .. 1.6e-3)." in
-  Arg.(value & opt float 1e-4 & info [ "k2" ] ~docv:"K2" ~doc)
+  Arg.(value & opt (float_at_least 0.0) 1e-4 & info [ "k2" ] ~docv:"K2" ~doc)
 
 let k3 =
   let doc = "Hub (complexity) cost k3 for PoPs with more than one link." in
-  Arg.(value & opt float 0.0 & info [ "k3" ] ~docv:"K3" ~doc)
+  Arg.(value & opt (float_at_least 0.0) 0.0 & info [ "k3" ] ~docv:"K3" ~doc)
 
 let generations =
   let doc = "GA generations (paper default 100)." in
-  Arg.(value & opt int 100 & info [ "generations" ] ~docv:"T" ~doc)
+  Arg.(value & opt (int_at_least 0) 100 & info [ "generations" ] ~docv:"T" ~doc)
 
 let population =
-  let doc = "GA population size (paper default 100)." in
-  Arg.(value & opt int 100 & info [ "population" ] ~docv:"M" ~doc)
+  let doc = "GA population size (paper default 100, at least 2)." in
+  Arg.(value & opt (int_at_least 2) 100 & info [ "population" ] ~docv:"M" ~doc)
 
 let domains =
   let doc =
@@ -48,7 +63,7 @@ let domains =
      machine). Synthesized networks are bit-identical at every setting; \
      only wall-clock time changes. See doc/PERF.md."
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
+  Arg.(value & opt (int_at_least 0) 1 & info [ "domains" ] ~docv:"K" ~doc)
 
 let pareto =
   let doc = "Use Pareto(1.5) populations instead of exponential." in
@@ -167,9 +182,10 @@ let generate_cmd =
 
 (* --- ensemble ---------------------------------------------------------------- *)
 
-let count =
+(* An ensemble needs at least one member; the zoo may be empty. *)
+let count ~min =
   let doc = "Number of networks in the ensemble." in
-  Arg.(value & opt int 10 & info [ "c"; "count" ] ~docv:"COUNT" ~doc)
+  Arg.(value & opt (int_at_least min) 10 & info [ "c"; "count" ] ~docv:"COUNT" ~doc)
 
 let ensemble pops seed k0 k2 k3 generations population domains pareto bursty count =
   (* Parallelism pays best at the widest fan-out: whole ensemble members
@@ -198,7 +214,7 @@ let ensemble_cmd =
     (Cmd.info "ensemble" ~doc)
     Term.(
       const ensemble $ pops $ seed $ k0 $ k2 $ k3 $ generations $ population
-      $ domains $ pareto $ bursty $ count)
+      $ domains $ pareto $ bursty $ count ~min:1)
 
 (* --- zoo ---------------------------------------------------------------------- *)
 
@@ -222,7 +238,7 @@ let zoo seed count =
 
 let zoo_cmd =
   let doc = "Inspect the synthetic topology zoo (the Fig 8a substitute)." in
-  Cmd.v (Cmd.info "zoo" ~doc) Term.(const zoo $ seed $ count)
+  Cmd.v (Cmd.info "zoo" ~doc) Term.(const zoo $ seed $ count ~min:0)
 
 (* --- expand ------------------------------------------------------------------- *)
 
@@ -294,15 +310,15 @@ let resilience_cmd =
 
 let steps_arg =
   let doc = "Number of growth steps." in
-  Arg.(value & opt int 3 & info [ "steps" ] ~docv:"STEPS" ~doc)
+  Arg.(value & opt (int_at_least 0) 3 & info [ "steps" ] ~docv:"STEPS" ~doc)
 
 let growth_arg =
   let doc = "Per-step traffic growth factor." in
-  Arg.(value & opt float 1.5 & info [ "growth" ] ~docv:"G" ~doc)
+  Arg.(value & opt (float_at_least 0.0) 1.5 & info [ "growth" ] ~docv:"G" ~doc)
 
 let added_arg =
   let doc = "PoPs added per step." in
-  Arg.(value & opt int 5 & info [ "add" ] ~docv:"ADD" ~doc)
+  Arg.(value & opt (int_at_least 0) 5 & info [ "add" ] ~docv:"ADD" ~doc)
 
 let decommission_arg =
   let doc = "Cost to remove an installed link." in
@@ -342,11 +358,11 @@ let evolve_cmd =
 
 let input_arg =
   let doc = "Topology file to fit (.gml or edge-list format)." in
-  Arg.(required & opt (some string) None & info [ "i"; "input" ] ~docv:"FILE" ~doc)
+  Arg.(required & opt (some file) None & info [ "i"; "input" ] ~docv:"FILE" ~doc)
 
 let trials_arg =
   let doc = "ABC simulation budget." in
-  Arg.(value & opt int 200 & info [ "trials" ] ~docv:"TRIALS" ~doc)
+  Arg.(value & opt (int_at_least 1) 200 & info [ "trials" ] ~docv:"TRIALS" ~doc)
 
 let epsilon_arg =
   let doc = "ABC acceptance threshold (normalized statistic distance)." in

@@ -36,7 +36,7 @@ let () =
         " run the interprocedural (whole-program) pass — the default" );
       ( "--no-deep",
         Arg.Clear deep,
-        " token-level rules only; skip the interprocedural pass" );
+        " per-file rules only; skip the interprocedural pass" );
       ( "--call-graph",
         Arg.Set call_graph,
         " dump the resolved call graph for PATH... and exit" );

@@ -55,5 +55,5 @@ val lengths : t -> float array
     index it instead of calling {!distance} per pair. *)
 
 val spatial : t -> Cold_geom.Spatial.t
-(** The bucket-grid index over the PoP locations — k-nearest / radius
-    queries for locality-aware candidate generation ({!Cold.Operators}). *)
+(** The bucket-grid index over the PoP locations — the radius queries
+    behind regional failure cuts ([Cold_sim.Failure]). *)

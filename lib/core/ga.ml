@@ -76,8 +76,7 @@ let sort_by_cost pop = Array.sort (fun (_, a) (_, b) -> Float.compare a b) pop
    the pool writes each cost into the slot named by its candidate's index,
    which keeps population order — and every downstream sort and tie-break —
    bit-identical to the sequential run. *)
-let initial_population ?locality ~survivable ~seeds settings ctx rng
-    ~evaluate_batch =
+let initial_population ~survivable ~seeds settings ctx rng ~evaluate_batch =
   let n = Context.n ctx in
   let mst = Mst.mst_graph ~n ~weight:(fun u v -> Context.distance ctx u v) in
   let clique = Graph.complete n in
@@ -102,16 +101,8 @@ let initial_population ?locality ~survivable ~seeds settings ctx rng
   let random_count = max 0 (settings.population_size - fixed_count) in
   let graphs = Array.make (fixed_count + random_count) clique in
   List.iteri (fun i g -> graphs.(i) <- g) fixed;
-  (* Locality mode seeds with geographically short random links (O(n·k) per
-     topology, same expected link count); otherwise plain Erdős–Rényi. *)
   let random_seed () =
-    let g =
-      match locality with
-      | Some k ->
-        let pk = Float.min 1.0 (settings.init_edge_factor /. float_of_int k) in
-        Operators.locality_random_graph ctx ~k ~p:pk rng
-      | None -> erdos_renyi_repaired ctx ~p rng
-    in
+    let g = erdos_renyi_repaired ctx ~p rng in
     if survivable then ignore (Repair.two_edge_connect ctx g);
     g
   in
@@ -124,7 +115,7 @@ let initial_population ?locality ~survivable ~seeds settings ctx rng
   Array.sub pop 0 (min (Array.length pop) settings.population_size)
 
 let run_custom ?(domains = 1) ?(cache_slots = default_cache_slots) ?(seeds = [])
-    ?locality ?(survivable = false) settings ~objective ctx rng =
+    ?(survivable = false) settings ~objective ctx rng =
   validate settings;
   let n = Context.n ctx in
   if n < 2 then invalid_arg "Ga.run: need at least 2 PoPs";
@@ -146,7 +137,7 @@ let run_custom ?(domains = 1) ?(cache_slots = default_cache_slots) ?(seeds = [])
       (* Population is kept sorted ascending by cost. *)
       let pop =
         ref
-          (initial_population ?locality ~survivable ~seeds settings ctx rng
+          (initial_population ~survivable ~seeds settings ctx rng
              ~evaluate_batch)
       in
       let history = Array.make (settings.generations + 1) infinity in
@@ -170,7 +161,7 @@ let run_custom ?(domains = 1) ?(cache_slots = default_cache_slots) ?(seeds = [])
           let mutant = Graph.copy (fst prev.(idx)) in
           if Dist.bernoulli rng ~p:settings.node_mutation_prob then
             Operators.node_mutation ctx mutant rng
-          else Operators.link_mutation ?locality ctx mutant rng;
+          else Operators.link_mutation ctx mutant rng;
           children.(settings.num_crossover + i) <- mutant
         done;
         (* Crossover children are freshly bred and mutants are copies, so
@@ -197,7 +188,6 @@ let run_custom ?(domains = 1) ?(cache_slots = default_cache_slots) ?(seeds = [])
         cache_misses = Fitness_cache.misses cache;
       })
 
-let run ?domains ?cache_slots ?seeds ?locality ?survivable settings params ctx
-    rng =
-  run_custom ?domains ?cache_slots ?seeds ?locality ?survivable settings
+let run ?domains ?cache_slots ?seeds ?survivable settings params ctx rng =
+  run_custom ?domains ?cache_slots ?seeds ?survivable settings
     ~objective:(Cost.evaluate params ctx) ctx rng

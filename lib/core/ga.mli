@@ -61,7 +61,6 @@ val run :
   ?domains:int ->
   ?cache_slots:int ->
   ?seeds:Cold_graph.Graph.t list ->
-  ?locality:int ->
   ?survivable:bool ->
   settings ->
   Cost.params ->
@@ -90,15 +89,6 @@ val run :
     Hits return the exact float the objective produced, so the setting
     never changes results.
 
-    [?locality:k] switches link mutation and random initial topologies to
-    spatially local candidate generation ({!Operators.link_mutation},
-    {!Operators.locality_random_graph}): added links connect a node to one
-    of its [k] geographically nearest non-neighbours, and random seeds are
-    born with short links. Off by default; turning it on follows a
-    different (still fully deterministic, domain-count-independent) RNG
-    trajectory than the uniform operators, so results differ from the
-    default mode — by construction, not by accident.
-
     [?survivable] (default [false]) constrains the search to 2-edge-connected
     topologies: every initial member and every bred child is lifted through
     {!Repair.two_edge_connect} before evaluation, so [best] and all of
@@ -111,7 +101,6 @@ val run_custom :
   ?domains:int ->
   ?cache_slots:int ->
   ?seeds:Cold_graph.Graph.t list ->
-  ?locality:int ->
   ?survivable:bool ->
   settings ->
   objective:(Cold_graph.Graph.t -> float) ->

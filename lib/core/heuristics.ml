@@ -227,8 +227,9 @@ let run_random_greedy ~permutations params ctx rng ~star:(star, star_cost) =
   done;
   !best_overall
 
-let check_size ctx =
-  if Context.n ctx < 2 then invalid_arg "Heuristics.run: need at least 2 PoPs"
+let check_size caller ctx =
+  if Context.n ctx < 2 then
+    invalid_arg (Printf.sprintf "Heuristics.%s: need at least 2 PoPs" caller)
 
 let run_from ~star alg params ctx rng =
   match alg with
@@ -239,12 +240,12 @@ let run_from ~star alg params ctx rng =
     run_random_greedy ~permutations params ctx rng ~star
 
 let run alg params ctx rng =
-  check_size ctx;
+  check_size "run" ctx;
   run_from ~star:(best_star params ctx) alg params ctx rng
 
 let seed_set ?(permutations = 10) params ctx rng =
+  check_size "seed_set" ctx;
   let star = best_star params ctx in
-  check_size ctx;
   fst star
   :: List.map
        (fun alg -> fst (run_from ~star alg params ctx rng))

@@ -47,7 +47,8 @@ val run :
   Cold_prng.Prng.t ->
   Cold_graph.Graph.t * float
 (** [run alg p ctx rng] returns the heuristic's topology and cost. The rng
-    is only consumed by [Random_greedy]. The result is always connected. *)
+    is only consumed by [Random_greedy]. The result is always connected.
+    Raises [Invalid_argument] on a context of fewer than 2 PoPs. *)
 
 val seed_set :
   ?permutations:int ->
@@ -56,4 +57,5 @@ val seed_set :
   Cold_prng.Prng.t ->
   Cold_graph.Graph.t list
 (** Topologies from all four heuristics (plus the best star), for seeding the
-    initialised GA. Default [permutations] = 10. *)
+    initialised GA. Default [permutations] = 10. Raises [Invalid_argument]
+    on a context of fewer than 2 PoPs, before any topology is priced. *)

@@ -35,39 +35,25 @@ let hill_climb_settings = { default_settings with initial_temperature = 0.0 }
    Graph.copy saves an n²-byte allocation per iteration — the proposal
    loop's entire allocation profile at large n — and changes no byte of any
    candidate. Callers must copy a candidate they intend to retain. *)
-let propose ?locality ctx ~into g rng ~node_move_prob =
+let propose ctx ~into g rng ~node_move_prob =
   Graph.copy_into ~src:g ~dst:into;
   let candidate = into in
   if Dist.bernoulli rng ~p:node_move_prob then
     Operators.node_mutation ctx candidate rng
   else begin
-    match locality with
-    | Some k ->
-      (* Locality mode: remove a uniform existing link or add a spatially
-         local one, 50/50 — its own deterministic RNG trajectory. *)
-      (if Dist.bernoulli rng ~p:0.5 then
-         match Operators.random_existing_edge candidate rng with
-         | Some (u, v) -> Graph.remove_edge candidate u v
-         | None -> ()
-       else
-         match Operators.locality_absent_pair ctx candidate rng ~k with
-         | Some (u, v) -> Graph.add_edge candidate u v
-         | None -> ());
-      ignore (Repair.repair ctx candidate)
-    | None ->
-      let n = Graph.node_count candidate in
-      let rec pick () =
-        let u = Prng.int rng n and v = Prng.int rng n in
-        if u = v then pick () else (u, v)
-      in
-      let (u, v) = pick () in
-      if Graph.mem_edge candidate u v then Graph.remove_edge candidate u v
-      else Graph.add_edge candidate u v;
-      ignore (Repair.repair ctx candidate)
+    let n = Graph.node_count candidate in
+    let rec pick () =
+      let u = Prng.int rng n and v = Prng.int rng n in
+      if u = v then pick () else (u, v)
+    in
+    let (u, v) = pick () in
+    if Graph.mem_edge candidate u v then Graph.remove_edge candidate u v
+    else Graph.add_edge candidate u v;
+    ignore (Repair.repair ctx candidate)
   end;
   candidate
 
-let run ?(incremental = true) ?initial ?locality settings params ctx rng =
+let run ?(incremental = true) ?initial settings params ctx rng =
   if settings.iterations < 0 then invalid_arg "Local_search.run: negative iterations";
   if settings.cooling <= 0.0 || settings.cooling > 1.0 then
     invalid_arg "Local_search.run: cooling must be in (0, 1]";
@@ -113,7 +99,7 @@ let run ?(incremental = true) ?initial ?locality settings params ctx rng =
     let temperature = ref (settings.initial_temperature *. !current_cost) in
     for _ = 1 to settings.iterations do
       let candidate =
-        propose ?locality ctx ~into:scratch (Incremental.graph st) rng
+        propose ctx ~into:scratch (Incremental.graph st) rng
           ~node_move_prob:settings.node_move_prob
       in
       ignore (Incremental.retarget st candidate);
@@ -157,7 +143,7 @@ let run ?(incremental = true) ?initial ?locality settings params ctx rng =
     let temperature = ref (settings.initial_temperature *. !current_cost) in
     for _ = 1 to settings.iterations do
       let candidate =
-        propose ?locality ctx ~into:!scratch !current rng
+        propose ctx ~into:!scratch !current rng
           ~node_move_prob:settings.node_move_prob
       in
       let cost = evaluate candidate in

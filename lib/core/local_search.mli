@@ -34,7 +34,6 @@ val hill_climb_settings : settings
 val run :
   ?incremental:bool ->
   ?initial:Cold_graph.Graph.t ->
-  ?locality:int ->
   settings ->
   Cost.params ->
   Cold_context.Context.t ->
@@ -53,10 +52,4 @@ val run :
     repaired in place. [false] evaluates every candidate from scratch with
     {!Cost.evaluate} — the reference the engine is tested against. Both
     paths are bit-identical — same proposals, same costs, same trajectory,
-    same result — differing only in running time.
-
-    [?locality:k] replaces the uniform link toggle with a 50/50 choice
-    between removing a uniform existing link and adding one from a uniform
-    node's [k] spatially nearest non-neighbours
-    ({!Operators.locality_absent_pair}). Off by default; a deliberate,
-    deterministic change of RNG trajectory when enabled. *)
+    same result — differing only in running time. *)

@@ -84,52 +84,7 @@ let random_absent_pair g rng =
     draw 0
   end
 
-(* Locality-biased addition: a uniform endpoint, then a uniform pick among
-   its [k] spatially nearest non-neighbours. Saturated endpoints (all k
-   nearest already linked, or full row) are redrawn a bounded number of
-   times before falling back to the global sampler, so the draw fails only
-   when the graph is complete. A distinct RNG trajectory from the global
-   sampler by design — callers opt in via [?locality]. *)
-let locality_absent_pair ctx g rng ~k =
-  if k < 1 then invalid_arg "Operators.locality_absent_pair: k must be >= 1";
-  let n = Graph.node_count g in
-  let spatial = Context.spatial ctx in
-  let rec draw attempts =
-    if attempts >= 32 then random_absent_pair g rng
-    else begin
-      let u = Prng.int rng n in
-      let cand =
-        Cold_geom.Spatial.k_nearest ~except:(fun v -> Graph.mem_edge g u v)
-          spatial u ~k
-      in
-      let len = Array.length cand in
-      if len = 0 then draw (attempts + 1)
-      else begin
-        let v = cand.(Prng.int rng len) in
-        Some (min u v, max u v)
-      end
-    end
-  in
-  draw 0
-
-(* Locality-biased random topology: each node flips a coin per spatial
-   neighbour instead of per possible pair, so seeding is O(n·k) instead of
-   O(n²) and the raw graph is born with geographically short links — the
-   structure cheap solutions actually have. Repaired to connectivity like
-   its Erdős–Rényi counterpart. *)
-let locality_random_graph ctx ~k ~p rng =
-  if k < 1 then invalid_arg "Operators.locality_random_graph: k must be >= 1";
-  let n = Context.n ctx in
-  let spatial = Context.spatial ctx in
-  let g = Graph.create n in
-  for u = 0 to n - 1 do
-    let cand = Cold_geom.Spatial.k_nearest spatial u ~k in
-    Array.iter (fun v -> if Dist.bernoulli rng ~p then Graph.add_edge g u v) cand
-  done;
-  ignore (Repair.repair ctx g);
-  g
-
-let link_mutation ?locality ctx g rng =
+let link_mutation ctx g rng =
   let removals = Dist.geometric rng ~p:0.5 in
   let additions = Dist.geometric rng ~p:0.5 in
   for _ = 1 to removals do
@@ -137,18 +92,8 @@ let link_mutation ?locality ctx g rng =
     | Some (u, v) -> Graph.remove_edge g u v
     | None -> ()
   done;
-  (* [?locality] only redirects where ADDED links come from (removals stay
-     uniform): absent pairs between distant PoPs are overwhelmingly the
-     expensive ones, so the spatial bias concentrates proposals where
-     acceptance is plausible. [None] is byte-for-byte the historical
-     trajectory. *)
   for _ = 1 to additions do
-    let pair =
-      match locality with
-      | Some k -> locality_absent_pair ctx g rng ~k
-      | None -> random_absent_pair g rng
-    in
-    match pair with
+    match random_absent_pair g rng with
     | Some (u, v) -> Graph.add_edge g u v
     | None -> ()
   done;

@@ -16,16 +16,10 @@ val crossover :
     child is repaired to connectivity. *)
 
 val link_mutation :
-  ?locality:int ->
   Cold_context.Context.t -> Cold_graph.Graph.t -> Cold_prng.Prng.t -> unit
 (** [link_mutation ctx g rng] removes [m+] random existing links and adds
     [m−] random absent links, where m+ and m− are geometric(0.5) — "an
-    average of two link changes each time" (§4.1.2) — then repairs.
-
-    [?locality:k] draws each added link from a uniform endpoint's [k]
-    spatially nearest non-neighbours instead of from all absent pairs
-    (removals are unchanged). A different — still deterministic — RNG
-    trajectory; omitting it reproduces the historical stream exactly. *)
+    average of two link changes each time" (§4.1.2) — then repairs. *)
 
 val random_existing_edge :
   Cold_graph.Graph.t -> Cold_prng.Prng.t -> (int * int) option
@@ -39,24 +33,6 @@ val random_absent_pair :
     trajectory); dense graphs (< half the pairs absent) fall back after a
     bounded burst to an exact rank-indexed draw, so near-clique graphs no
     longer cost O(n²) RNG pulls per addition. *)
-
-val locality_absent_pair :
-  Cold_context.Context.t ->
-  Cold_graph.Graph.t ->
-  Cold_prng.Prng.t ->
-  k:int ->
-  (int * int) option
-(** A locality-biased absent pair: a uniform endpoint, then a uniform pick
-    among its [k] spatially nearest non-neighbours; bounded retries over
-    saturated endpoints, global fallback after that. [None] iff the graph
-    is complete. Raises [Invalid_argument] if [k < 1]. *)
-
-val locality_random_graph :
-  Cold_context.Context.t -> k:int -> p:float -> Cold_prng.Prng.t -> Cold_graph.Graph.t
-(** A connected random topology built by flipping a [p]-coin per (node,
-    spatial-neighbour) pair — O(n·k) work, geographically short raw links —
-    then repairing. The locality-mode counterpart of the GA's Erdős–Rényi
-    initial topologies. Raises [Invalid_argument] if [k < 1]. *)
 
 val node_mutation :
   Cold_context.Context.t -> Cold_graph.Graph.t -> Cold_prng.Prng.t -> unit

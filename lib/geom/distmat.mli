@@ -26,8 +26,8 @@ val max_distance : t -> float
 
 val spatial : t -> Spatial.t
 (** The bucket-grid index built over the same points at {!of_points} time —
-    the k-nearest / radius query engine backing locality-aware candidate
-    generation. *)
+    the nearest / radius query engine behind {!nearest} and regional
+    failure cuts. *)
 
 val nearest : t -> int -> except:(int -> bool) -> int option
 (** [nearest d i ~except] is the index [j <> i] minimizing [get d i j] among

@@ -143,48 +143,6 @@ let nearest t i ~except =
   done;
   if !best_j < 0 then None else Some !best_j
 
-let k_nearest ?(except = fun _ -> false) t i ~k =
-  let n = Array.length t.pts in
-  if i < 0 || i >= n then invalid_arg "Spatial.k_nearest";
-  if k < 0 then invalid_arg "Spatial.k_nearest: negative k";
-  if k = 0 then [||]
-  else begin
-    let p = t.pts.(i) in
-    let cx = cell_x t p.Point.x and cy = cell_y t p.Point.y in
-    let ds = Array.make k infinity in
-    let js = Array.make k (-1) in
-    let count = ref 0 in
-    let better d j d' j' = d < d' || (Float.equal d d' && j < j') in
-    let consider j =
-      if j <> i && not (except j) then begin
-        let d = Point.distance p t.pts.(j) in
-        if !count < k || better d j ds.(k - 1) js.(k - 1) then begin
-          (* Insertion sort by (distance, index): k is small and candidates
-             arrive nearly sorted, so this beats a heap in practice. *)
-          let pos = ref (min !count (k - 1)) in
-          while !pos > 0 && better d j ds.(!pos - 1) js.(!pos - 1) do
-            ds.(!pos) <- ds.(!pos - 1);
-            js.(!pos) <- js.(!pos - 1);
-            decr pos
-          done;
-          ds.(!pos) <- d;
-          js.(!pos) <- j;
-          if !count < k then incr count
-        end
-      end
-    in
-    let last = max_ring t cx cy in
-    let r = ref 0 in
-    let continue = ref true in
-    while !continue && !r <= last do
-      iter_ring t cx cy !r consider;
-      if !count = k && ring_lower_bound t (!r + 1) > ds.(k - 1) then
-        continue := false;
-      incr r
-    done;
-    Array.sub js 0 !count
-  end
-
 let within t i ~radius =
   let n = Array.length t.pts in
   if i < 0 || i >= n then invalid_arg "Spatial.within";

@@ -1,11 +1,11 @@
 (** Uniform bucket-grid index over a point set.
 
-    The GA's candidate generators and the greedy seeding heuristics need
-    nearest-neighbour answers millions of times per run; a linear scan makes
-    each query O(n) and the whole hot loop O(n²). This index buckets the
-    points of a fixed array into a √n × √n grid over their bounding box and
-    answers nearest / k-nearest / radius queries by expanding rings of
-    cells, so queries on geometrically spread inputs touch O(1) cells.
+    The greedy seeding heuristics and regional failure cuts need
+    nearest-neighbour and radius answers many times per run; a linear scan
+    makes each query O(n) and the whole hot loop O(n²). This index buckets
+    the points of a fixed array into a √n × √n grid over their bounding box
+    and answers nearest / radius queries by expanding rings of cells, so
+    queries on geometrically spread inputs touch O(1) cells.
 
     {b Determinism.} Every answer is a pure function of the point array:
     cells are visited in a fixed row-major ring order, candidates within a
@@ -37,11 +37,6 @@ val nearest : t -> int -> except:(int -> bool) -> int option
     [except j = false]; ties break to the smallest [j]. [None] when no
     candidate qualifies. Same contract as {!Distmat.nearest}, verified
     equivalent by the test suite. *)
-
-val k_nearest : ?except:(int -> bool) -> t -> int -> k:int -> int array
-(** [k_nearest t i ~k] is up to [k] indices [j <> i] (fewer when the point
-    set runs out), ascending by [(distance, index)] — the deterministic
-    k-nearest-neighbour list. [except] filters candidates out entirely. *)
 
 val within : t -> int -> radius:float -> int list
 (** [within t i ~radius] is every index [j <> i] with

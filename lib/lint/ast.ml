@@ -1,3 +1,53 @@
+open Parsetree
+
+type tree = Impl of structure | Intf of signature | Dune of string
+
+type file = {
+  path : string;
+  tree : tree;
+  comments : (string * Location.t) list;
+}
+
+let line (loc : Location.t) = loc.loc_start.pos_lnum
+
+let parse ~path src =
+  let lexbuf = Lexing.from_string src in
+  Lexing.set_filename lexbuf path;
+  (* The lexer's own warnings (a stray "(*)", say) would go to stderr; the
+     linter speaks only through findings. *)
+  ignore (Warnings.parse_options false "-a");
+  match
+    if Filename.basename path = "dune" then Dune src
+    else if Filename.check_suffix path ".mli" then Intf (Parse.interface lexbuf)
+    else Impl (Parse.implementation lexbuf)
+  with
+  | Dune _ as tree -> Ok { path; tree; comments = [] }
+  | tree -> Ok { path; tree; comments = Lexer.comments () }
+  | exception exn ->
+    let loc, message =
+      match Location.error_of_exn exn with
+      | Some (`Ok report) ->
+        (report.main.loc, Format.asprintf "%t" report.main.txt)
+      | _ -> (Location.curr lexbuf, Printexc.to_string exn)
+    in
+    Error (Printf.sprintf "%s:%d: %s" path (line loc) message)
+
+let iter (it : Ast_iterator.iterator) file =
+  match file.tree with
+  | Impl s -> it.structure it s
+  | Intf s -> it.signature it s
+  | Dune _ -> ()
+
+let rec components = function
+  | Longident.Lident s -> [ s ]
+  | Ldot (p, s) -> components p @ [ s ]
+  | Lapply (f, x) -> components f @ components x
+
+let ident = function
+  | Longident.Lident s -> ([], s)
+  | Ldot (p, s) -> (components p, s)
+  | Lapply _ as lid -> (components lid, "")
+
 type ref_site = { rpath : string list; rname : string; rline : int }
 
 type def = {
@@ -26,385 +76,152 @@ type t = {
 let modname_of_file file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
 
-(* Identifiers that are keywords, binder syntax, or control flow — never a
-   value reference. *)
-let keywords =
-  [ "let"; "in"; "rec"; "and"; "if"; "then"; "else"; "match"; "with"; "fun";
-    "function"; "begin"; "end"; "struct"; "sig"; "module"; "open"; "include";
-    "type"; "of"; "mutable"; "val"; "external"; "as"; "when"; "do"; "done";
-    "for"; "to"; "while"; "downto"; "try"; "lazy"; "assert"; "new"; "object";
-    "method"; "inherit"; "initializer"; "constraint"; "exception"; "private";
-    "virtual"; "nonrec"; "true"; "false"; "or" ]
-
-let is_keyword w = List.mem w keywords
-
 let output_idents =
   [ "output_string"; "output_char"; "output_value"; "print_string";
     "print_endline"; "print_int"; "print_float"; "print_char";
     "print_newline"; "prerr_string"; "prerr_endline" ]
 
-(* Mutable accumulation state for the definition under construction. *)
-type building = {
-  bname : string;
-  bpath : string list;
-  bline : int;
-  mutable brefs : ref_site list;
-  mutable bmutates : ref_site list;
-  mutable bcallbacks : ref_site list;
-  mutable bmediates : bool;
-  mutable blocks_mutex : bool;
-  mutable bunlocks : bool;
-  mutable baccumulates : bool;
-  bmutable_global : bool;
-}
-
-type block = Bstruct of string option | Bother
-
-let summarize ~file tokens =
-  let code =
-    Array.of_list
-      (List.filter
-         (fun (t : Lexer.token) ->
-           match t.Lexer.kind with Lexer.Comment _ -> false | _ -> true)
-         tokens)
-  in
-  let n = Array.length code in
-  let kind i = if i >= 0 && i < n then Some code.(i).Lexer.kind else None in
-  let line i = if i >= 0 && i < n then code.(i).Lexer.line else 0 in
-  (* Pre-pass: match [let]s with their [in]s like parentheses. A [let] never
-     closed by an [in] is a structure item; an [and] chains a structure item
-     iff the innermost pending [let] at that point is itself structural. *)
-  let is_let_struct = Array.make (max n 1) false in
-  let and_parent = Array.make (max n 1) (-1) in
-  let let_stack = ref [] in
-  for i = 0 to n - 1 do
-    match code.(i).Lexer.kind with
-    | Lexer.Ident "let" ->
-      is_let_struct.(i) <- true;
-      let_stack := i :: !let_stack
-    | Lexer.Ident "in" -> (
-      match !let_stack with
-      | top :: rest ->
-        is_let_struct.(top) <- false;
-        let_stack := rest
-      | [] -> ())
-    | Lexer.Ident "and" -> (
-      match !let_stack with top :: _ -> and_parent.(i) <- top | [] -> ())
-    | _ -> ()
-  done;
-  let is_and_struct i =
-    and_parent.(i) >= 0 && is_let_struct.(and_parent.(i))
-  in
-  (* Main walk state. *)
-  let opens = ref [] in
-  let maliases = ref [] in
-  let vals = ref [] in
-  let defs = ref [] in
-  let blocks = ref ([] : block list) in
-  let pending_module = ref None in
-  let cur = ref None in
-  let finish () =
-    (match !cur with
-    | Some b ->
-      defs :=
-        {
-          dname = b.bname;
-          dpath = b.bpath;
-          dline = b.bline;
-          drefs = List.rev b.brefs;
-          dmutates = List.rev b.bmutates;
-          dcallbacks = List.rev b.bcallbacks;
-          dmediates = b.bmediates;
-          dlocks = b.blocks_mutex;
-          dunlocks = b.bunlocks;
-          daccumulates = b.baccumulates;
-          dmutable_global = b.bmutable_global;
-        }
-        :: !defs
-    | None -> ());
-    cur := None
-  in
-  let module_path () =
-    List.rev
-      (List.filter_map
-         (function Bstruct (Some m) -> Some m | _ -> None)
-         !blocks)
-  in
-  (* Read a [Uident (. Uident)*] chain starting at [i]; returns the chain and
-     the index just past it. *)
-  let read_uident_chain i =
-    let rec go acc j =
-      match kind j with
-      | Some (Lexer.Uident u) -> (
-        match (kind (j + 1), kind (j + 2)) with
-        | Some (Lexer.Op "."), Some (Lexer.Uident _) -> go (u :: acc) (j + 2)
-        | _ -> (List.rev (u :: acc), j + 1))
-      | _ -> (List.rev acc, j)
-    in
-    go [] i
-  in
-  let add_ref b r = b.brefs <- r :: b.brefs in
-  let add_mutation b r = b.bmutates <- r :: b.bmutates in
-  (* Scan forward from [j] for the binding [=] of a [let], tracking bracket
-     depth; returns [Some (eq_index, has_params)]. Parameters are any tokens
-     at depth 0 between the name and the first [:] or [=]. *)
-  let find_binding_eq j =
-    let rec go k depth params steps =
-      if steps > 300 then None
-      else
-        match kind k with
-        | None -> None
-        | Some (Lexer.Op ("(" | "[" | "{")) -> go (k + 1) (depth + 1) params (steps + 1)
-        | Some (Lexer.Op (")" | "]" | "}")) -> go (k + 1) (depth - 1) params (steps + 1)
-        | Some (Lexer.Op "=") when depth = 0 -> Some (k, params)
-        | Some (Lexer.Op ":") when depth = 0 ->
-          (* Type annotation: no parameters can follow before [=]. *)
-          let rec to_eq k2 d2 s2 =
-            if s2 > 300 then None
-            else
-              match kind k2 with
-              | None -> None
-              | Some (Lexer.Op ("(" | "[" | "{")) -> to_eq (k2 + 1) (d2 + 1) (s2 + 1)
-              | Some (Lexer.Op (")" | "]" | "}")) -> to_eq (k2 + 1) (d2 - 1) (s2 + 1)
-              | Some (Lexer.Op "=") when d2 = 0 -> Some (k2, params)
-              | _ -> to_eq (k2 + 1) d2 (s2 + 1)
-          in
-          to_eq (k + 1) 0 (steps + 1)
-        | Some (Lexer.Ident _ | Lexer.Uident _) when depth = 0 ->
-          go (k + 1) depth true (steps + 1)
-        | _ -> go (k + 1) depth params (steps + 1)
-    in
-    go j 0 false 0
-  in
-  let rhs_is_mutable eq =
-    let rec head k =
-      match kind k with
-      | Some (Lexer.Op "(") -> head (k + 1)
-      | Some (Lexer.Ident "ref") -> true
-      | Some (Lexer.Uident "Hashtbl")
-        when kind (k + 1) = Some (Lexer.Op ".")
-             && kind (k + 2) = Some (Lexer.Ident "create") ->
-        true
-      | _ -> false
-    in
-    head (eq + 1)
-  in
-  (* Start a new definition whose name token sits at [j] (just after the
-     [let]/[and] and any [rec]). *)
-  let start_def ~line:def_line j =
-    finish ();
-    let name, name_end =
-      match kind j with
-      | Some (Lexer.Ident w) when not (is_keyword w) -> (w, j + 1)
-      | Some (Lexer.Op "(") -> (
-        match (kind (j + 1), kind (j + 2)) with
-        | Some (Lexer.Op op), Some (Lexer.Op ")") -> (op, j + 3)
-        | _ -> ("_", j))
-      | _ -> ("_", j)
-    in
-    let mutable_global =
-      match find_binding_eq name_end with
-      | Some (eq, false) -> rhs_is_mutable eq
-      | _ -> false
-    in
-    cur :=
-      Some
-        {
-          bname = name;
-          bpath = module_path ();
-          bline = def_line;
-          brefs = [];
-          bmutates = [];
-          bcallbacks = [];
-          bmediates = false;
-          blocks_mutex = false;
-          bunlocks = false;
-          baccumulates = false;
-          bmutable_global = mutable_global;
-        }
-  in
-  let with_cur f = match !cur with Some b -> f b | None -> () in
-  (* Record a qualified reference and its side-channel classifications. *)
-  let record_qualified b path name ref_line next_i =
-    add_ref b { rpath = path; rname = name; rline = ref_line };
-    (match (path, name) with
-    | [ "Mutex" ], "lock" ->
-      b.blocks_mutex <- true;
-      b.bmediates <- true
-    | [ "Mutex" ], ("unlock" | "protect") ->
-      b.bunlocks <- true;
-      b.bmediates <- true
-    | _ ->
-      if List.mem "DLS" path || List.mem "Atomic" path then
-        b.bmediates <- true);
-    (match path with
-    | ("Buffer" | "Printf" | "Format") :: _ -> b.baccumulates <- true
+let accumulates e =
+  let found = ref false in
+  let super = Ast_iterator.default_iterator in
+  let expr self e =
+    (match e.pexp_desc with
+    | Pexp_construct ({ txt = Lident "::"; _ }, _) -> found := true
+    | Pexp_ident { txt; _ } -> (
+      match ident txt with
+      | [], f -> if f = ":=" || List.mem f output_idents then found := true
+      | path, _ ->
+        if List.exists (fun m -> List.mem m [ "Buffer"; "Printf"; "Format" ]) path
+        then found := true)
     | _ -> ());
-    if kind next_i = Some (Lexer.Op ":=") then
-      add_mutation b { rpath = path; rname = name; rline = ref_line };
-    (* [Hashtbl.add tbl …] and friends mutate their first argument. *)
-    (if path = [ "Hashtbl" ]
-        && List.mem name
-             [ "add"; "replace"; "remove"; "reset"; "clear";
-               "filter_map_inplace" ]
-     then
-       match kind next_i with
-       | Some (Lexer.Ident t) when not (is_keyword t) ->
-         add_mutation b { rpath = []; rname = t; rline = ref_line }
-       | Some (Lexer.Uident _) ->
-         let chain, j2 = read_uident_chain next_i in
-         (match (chain, kind j2, kind (j2 + 1)) with
-         | _ :: _, Some (Lexer.Op "."), Some (Lexer.Ident t) ->
-           add_mutation b { rpath = chain; rname = t; rline = ref_line }
-         | _ -> ())
-       | _ -> ());
-    (* Named callback handed to an order-sensitive Hashtbl traversal. *)
-    if path = [ "Hashtbl" ] && List.mem name [ "iter"; "iteri"; "fold" ] then
-      match kind next_i with
-      | Some (Lexer.Ident g) when (not (is_keyword g)) && g <> "fun" ->
-        b.bcallbacks <- { rpath = []; rname = g; rline = ref_line } :: b.bcallbacks
-      | Some (Lexer.Uident _) -> (
-        let chain, j2 = read_uident_chain next_i in
-        match (kind j2, kind (j2 + 1)) with
-        | Some (Lexer.Op "."), Some (Lexer.Ident g) when not (is_keyword g) ->
-          b.bcallbacks <-
-            { rpath = chain; rname = g; rline = ref_line } :: b.bcallbacks
-        | _ -> ())
-      | _ -> ()
+    super.expr self e
   in
-  let i = ref 0 in
-  while !i < n do
-    let t = code.(!i) in
-    let struct_level =
-      match !blocks with [] | Bstruct _ :: _ -> true | _ -> false
-    in
-    (match t.Lexer.kind with
-    | Lexer.Ident "let" when is_let_struct.(!i) && struct_level ->
-      let j = if kind (!i + 1) = Some (Lexer.Ident "rec") then !i + 2 else !i + 1 in
-      start_def ~line:t.Lexer.line j;
-      i := j
-    | Lexer.Ident "and" when is_and_struct !i && struct_level && !cur <> None ->
-      let j = if kind (!i + 1) = Some (Lexer.Ident "rec") then !i + 2 else !i + 1 in
-      start_def ~line:t.Lexer.line j;
-      i := j
-    | Lexer.Ident "module"
-      when struct_level
-           && kind (!i - 1) <> Some (Lexer.Ident "let")
-           && kind (!i - 1) <> Some (Lexer.Op "(") -> (
-      finish ();
-      match kind (!i + 1) with
-      | Some (Lexer.Ident "type") -> i := !i + 2
-      | Some (Lexer.Uident m) ->
-        pending_module := Some m;
-        i := !i + 2
-      | _ -> incr i)
-    | Lexer.Ident "struct" ->
-      blocks := Bstruct !pending_module :: !blocks;
-      pending_module := None;
-      incr i
-    | Lexer.Ident ("begin" | "sig" | "object" | "do") ->
-      blocks := Bother :: !blocks;
-      incr i
-    | Lexer.Ident ("end" | "done") ->
-      (match !blocks with
-      | Bstruct _ :: rest ->
-        finish ();
-        blocks := rest
-      | Bother :: rest -> blocks := rest
-      | [] -> ());
-      incr i
-    | Lexer.Op "=" when !pending_module <> None -> (
-      (* [module M = Path] (alias) vs [module M = struct] (handled when the
-         [struct] token arrives). *)
-      match kind (!i + 1) with
-      | Some (Lexer.Uident _) ->
-        let chain, j = read_uident_chain (!i + 1) in
-        (match !pending_module with
-        | Some m -> maliases := (m, chain) :: !maliases
-        | None -> ());
-        pending_module := None;
-        i := j
-      | Some (Lexer.Ident "struct") -> incr i
-      | _ ->
-        pending_module := None;
-        incr i)
-    | Lexer.Ident ("open" | "include") -> (
-      match kind (!i + 1) with
-      | Some (Lexer.Uident _) ->
-        let chain, j = read_uident_chain (!i + 1) in
-        opens := chain :: !opens;
-        i := j
-      | _ -> incr i)
-    | Lexer.Ident "val" -> (
-      match kind (!i + 1) with
-      | Some (Lexer.Ident v) when not (is_keyword v) ->
-        vals := v :: !vals;
-        i := !i + 2
-      | _ -> incr i)
-    | Lexer.Uident _ when kind (!i - 1) <> Some (Lexer.Op ".") -> (
-      let chain, j = read_uident_chain !i in
-      match (kind j, kind (j + 1)) with
-      | Some (Lexer.Op "."), Some (Lexer.Ident f)
-        when (not (is_keyword f)) && chain <> [] ->
-        with_cur (fun b -> record_qualified b chain f t.Lexer.line (j + 2));
-        i := j + 2
-      | _ -> i := j)
-    | Lexer.Ident w
-      when (not (is_keyword w))
-           && kind (!i - 1) <> Some (Lexer.Op ".")
-           && kind (!i - 1) <> Some (Lexer.Op "~")
-           && kind (!i - 1) <> Some (Lexer.Op "?") ->
-      with_cur (fun b ->
-          add_ref b { rpath = []; rname = w; rline = t.Lexer.line };
-          if kind (!i + 1) = Some (Lexer.Op ":=") then begin
-            add_mutation b { rpath = []; rname = w; rline = t.Lexer.line };
-            b.baccumulates <- true
-          end;
-          (if w = "incr" || w = "decr" then
-             match kind (!i + 1) with
-             | Some (Lexer.Ident g) when not (is_keyword g) ->
-               add_mutation b { rpath = []; rname = g; rline = t.Lexer.line }
-             | _ -> ());
-          if List.mem w output_idents then b.baccumulates <- true);
-      incr i
-    | Lexer.Op "::" ->
-      with_cur (fun b -> b.baccumulates <- true);
-      incr i
-    | Lexer.Op ":=" ->
-      with_cur (fun b -> b.baccumulates <- true);
-      incr i
-    | Lexer.Op "<-" ->
-      (* [base.field <- …]: attribute the write to the record base. *)
-      with_cur (fun b ->
-          match (kind (!i - 1), kind (!i - 2), kind (!i - 3)) with
-          | Some (Lexer.Ident _), Some (Lexer.Op "."), Some (Lexer.Ident base)
-            when not (is_keyword base) ->
-            add_mutation b
-              { rpath = []; rname = base; rline = line (!i - 3) }
-          | Some (Lexer.Ident f), Some (Lexer.Op "."), Some (Lexer.Uident _)
-            -> (
-            (* Qualified base: walk the chain backwards. *)
-            let rec back k acc =
-              match (kind k, kind (k - 1)) with
-              | Some (Lexer.Uident u), Some (Lexer.Op ".") ->
-                back (k - 2) (u :: acc)
-              | Some (Lexer.Uident u), _ -> u :: acc
-              | _ -> acc
-            in
-            match back (!i - 3) [] with
-            | [] -> ()
-            | chain ->
-              add_mutation b { rpath = chain; rname = f; rline = line (!i - 1) })
-          | _ -> ());
-      incr i
-    | _ -> incr i)
-  done;
-  finish ();
+  let it = { super with expr } in
+  it.expr it e;
+  !found
+
+let table_writers = [ "add"; "replace"; "remove"; "reset"; "clear" ]
+
+let site { Location.txt; loc } =
+  let rpath, rname = ident txt in
+  { rpath; rname; rline = line loc }
+
+let rec binder p =
+  match p.ppat_desc with
+  | Ppat_var v -> v.txt
+  | Ppat_constraint (p, _) -> binder p
+  | _ -> "_"
+
+let rec mutable_rhs e =
+  match e.pexp_desc with
+  | Pexp_constraint (e, _) -> mutable_rhs e
+  | Pexp_apply ({ pexp_desc = Pexp_ident f; _ }, _) -> (
+    match ident f.txt with
+    | [], "ref" | [ "Hashtbl" ], "create" -> true
+    | _ -> false)
+  | _ -> false
+
+(* One walk over a module-level binding's right-hand side gathers what it
+   references, mutates and hands to Hashtbl traversals. Local opens join
+   the file's [opens], as unqualified references may resolve through them. *)
+let summarize_def ~opens dpath vb =
+  let refs = ref [] and mutates = ref [] and callbacks = ref [] in
+  let target e =
+    match e.pexp_desc with
+    | Pexp_ident lid -> mutates := site lid :: !mutates
+    | _ -> ()
+  in
+  let super = Ast_iterator.default_iterator in
+  let expr self e =
+    (match e.pexp_desc with
+    | Pexp_ident lid -> refs := site lid :: !refs
+    | Pexp_setfield (base, _, _) -> target base
+    | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident m; _ }; _ }, _) ->
+      opens := components m.txt :: !opens
+    | Pexp_apply ({ pexp_desc = Pexp_ident f; _ }, args) -> (
+      let positional =
+        List.filter_map
+          (function Asttypes.Nolabel, a -> Some a | _ -> None)
+          args
+      in
+      match (ident f.txt, positional) with
+      | ([], (":=" | "incr" | "decr")), a :: _ -> target a
+      | ([ "Hashtbl" ], "filter_map_inplace"), _ :: tbl :: _ -> target tbl
+      | ([ "Hashtbl" ], w), tbl :: _ when List.mem w table_writers -> target tbl
+      | ([ "Hashtbl" ], ("iter" | "iteri" | "fold")),
+        { pexp_desc = Pexp_ident g; _ } :: _ ->
+        callbacks := { (site g) with rline = line f.loc } :: !callbacks
+      | _ -> ())
+    | _ -> ());
+    super.expr self e
+  in
+  let it = { super with expr } in
+  it.expr it vb.pvb_expr;
+  let drefs = List.rev !refs in
+  let uses p = List.exists p drefs in
+  let mutex names =
+    uses (fun r -> r.rpath = [ "Mutex" ] && List.mem r.rname names)
+  in
   {
-    file;
-    modname = modname_of_file file;
+    dname = binder vb.pvb_pat;
+    dpath;
+    dline = line vb.pvb_loc;
+    drefs;
+    dmutates = List.rev !mutates;
+    dcallbacks = List.rev !callbacks;
+    dmediates =
+      mutex [ "lock"; "unlock"; "protect" ]
+      || uses (fun r -> List.mem "DLS" r.rpath || List.mem "Atomic" r.rpath);
+    dlocks = mutex [ "lock" ];
+    dunlocks = mutex [ "unlock"; "protect" ];
+    daccumulates = accumulates vb.pvb_expr;
+    dmutable_global = mutable_rhs vb.pvb_expr;
+  }
+
+let summarize file =
+  let opens = ref [] and maliases = ref [] and defs = ref [] in
+  let rec items path = List.iter (item path)
+  and item path si =
+    match si.pstr_desc with
+    | Pstr_value (_, vbs) ->
+      List.iter (fun vb -> defs := summarize_def ~opens path vb :: !defs) vbs
+    | Pstr_module mb -> binding path mb
+    | Pstr_recmodule mbs -> List.iter (binding path) mbs
+    | Pstr_open { popen_expr = { pmod_desc = Pmod_ident m; _ }; _ }
+    | Pstr_include { pincl_mod = { pmod_desc = Pmod_ident m; _ }; _ } ->
+      opens := components m.txt :: !opens
+    | _ -> ()
+  and binding path mb =
+    match mb.pmb_name.txt with
+    | Some m -> module_expr path m mb.pmb_expr
+    | None -> ()
+  and module_expr path m me =
+    match me.pmod_desc with
+    | Pmod_ident target -> maliases := (m, components target.txt) :: !maliases
+    | Pmod_structure s -> items (path @ [ m ]) s
+    | Pmod_functor (_, body) | Pmod_constraint (body, _) ->
+      module_expr path m body
+    | _ -> ()
+  in
+  let vals =
+    match file.tree with
+    | Impl s ->
+      items [] s;
+      []
+    | Intf s ->
+      List.filter_map
+        (fun si ->
+          match si.psig_desc with
+          | Psig_value vd -> Some vd.pval_name.txt
+          | _ -> None)
+        s
+    | Dune _ -> []
+  in
+  {
+    file = file.path;
+    modname = modname_of_file file.path;
     opens = List.rev !opens;
     maliases = List.rev !maliases;
     defs = List.rev !defs;
-    vals = List.rev !vals;
+    vals;
   }

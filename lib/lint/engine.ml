@@ -1,34 +1,38 @@
+exception Syntax_error of string
+
 (* Suppression comments: [(* lint: allow rule-a rule-b optional prose *)].
    Each yields (rule, first_line, last_line) covering the comment's span plus
    the following line. *)
-let suppressions tokens =
+let suppressions (file : Ast.file) =
   List.concat_map
-    (fun (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Comment text -> (
-        let words =
-          String.split_on_char ' ' text
-          |> List.concat_map (String.split_on_char '\n')
-          |> List.concat_map (String.split_on_char '\t')
-          |> List.filter (fun w -> w <> "")
+    (fun (text, (loc : Location.t)) ->
+      let words =
+        String.split_on_char ' ' text
+        |> List.concat_map (String.split_on_char '\n')
+        |> List.concat_map (String.split_on_char '\t')
+        |> List.filter (fun w -> w <> "")
+      in
+      let rec after_allow = function
+        | "lint:" :: "allow" :: rest -> Some rest
+        | _ :: rest -> after_allow rest
+        | [] -> None
+      in
+      match after_allow words with
+      | None -> []
+      | Some rest ->
+        let rec rules_of = function
+          | w :: rest when Rules.known w -> w :: rules_of rest
+          | _ -> []
         in
-        let rec after_allow = function
-          | "lint:" :: "allow" :: rest -> Some rest
-          | _ :: rest -> after_allow rest
-          | [] -> None
-        in
-        match after_allow words with
-        | None -> []
-        | Some rest ->
-          let rec rules_of = function
-            | w :: rest when Rules.known w -> w :: rules_of rest
-            | _ -> []
-          in
-          List.map
-            (fun rule -> (rule, t.Lexer.line, t.Lexer.end_line + 1))
-            (rules_of rest))
-      | _ -> [])
-    tokens
+        List.map
+          (fun rule -> (rule, Ast.line loc, loc.loc_end.pos_lnum + 1))
+          (rules_of rest))
+    file.Ast.comments
+
+let covered spans ~rule ~line =
+  List.exists
+    (fun (r, first, last) -> r = rule && line >= first && line <= last)
+    spans
 
 let rule_set only =
   match only with
@@ -36,29 +40,25 @@ let rule_set only =
   | Some names ->
     List.filter (fun (r : Rules.t) -> List.mem r.Rules.name names) Rules.all
 
-let check_tokens ?only ?mli_exists ~path tokens =
-  let arr = Array.of_list tokens in
+let lint_file ?only ?mli_exists (file : Ast.file) =
+  let path = file.Ast.path in
   let ctx = { Rules.path; mli_exists } in
   let raw =
     List.concat_map
       (fun (r : Rules.t) ->
-        if r.Rules.applies path then r.Rules.check ctx arr else [])
+        if r.Rules.applies path then r.Rules.check ctx file else [])
       (rule_set only)
   in
-  let sups = suppressions tokens in
+  let sups = suppressions file in
   raw
   |> List.filter (fun (f : Finding.t) ->
-         not
-           (List.exists
-              (fun (rule, first, last) ->
-                rule = f.Finding.rule
-                && f.Finding.line >= first
-                && f.Finding.line <= last)
-              sups))
+         not (covered sups ~rule:f.Finding.rule ~line:f.Finding.line))
   |> List.sort Finding.compare
 
 let check_source ?only ?mli_exists ~path source =
-  check_tokens ?only ?mli_exists ~path (Lexer.tokenize source)
+  match Ast.parse ~path source with
+  | Ok file -> lint_file ?only ?mli_exists file
+  | Error msg -> raise (Syntax_error msg)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -66,18 +66,19 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let check_file ?only path =
-  let mli_exists =
-    if Filename.check_suffix path ".ml" then
-      Some (Sys.file_exists (path ^ "i"))
-    else None
-  in
-  check_source ?only ?mli_exists ~path (read_file path)
+(* Every source is parsed before any rule runs: one the compiler rejects
+   fails the whole run, so nothing is skipped or half-linted. *)
+let rec parse_all = function
+  | [] -> Ok []
+  | (path, src) :: rest -> (
+    match Ast.parse ~path src with
+    | Error _ as e -> e
+    | Ok file -> Result.map (List.cons file) (parse_all rest))
 
 let is_ocaml path =
   Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
 
-(* [only] may mix token-level and deep names; each pass sees its own slice.
+(* [only] may mix per-file and deep names; each pass sees its own slice.
    [Some []] on a slice means "none of mine were requested" — the pass runs
    zero rules rather than all of them. *)
 let split_only only =
@@ -96,42 +97,40 @@ let run ?only ?(deep = true) ~mli_exists_of sources =
   match unknown_rules only with
   | n :: _ -> Error (Printf.sprintf "unknown rule: %s" n)
   | [] ->
-    let token_only, deep_only = split_only only in
-    let toks =
-      List.map (fun (path, src) -> (path, Lexer.tokenize src)) sources
-    in
-    let token_findings =
-      List.concat_map
-        (fun (path, tokens) ->
-          let mli_exists =
-            if Filename.check_suffix path ".ml" then Some (mli_exists_of path)
-            else None
-          in
-          check_tokens ?only:token_only ?mli_exists ~path tokens)
-        toks
-    in
-    let deep_findings =
-      if (not deep) || deep_only = Some [] then []
-      else begin
-        let sups = Hashtbl.create 16 in
-        List.iter
-          (fun (path, tokens) ->
-            Hashtbl.replace sups path (suppressions tokens))
-          toks;
-        let suppressed ~rule ~file ~line =
-          match Hashtbl.find_opt sups file with
-          | None -> false
-          | Some spans ->
-            List.exists
-              (fun (r, first, last) ->
-                r = rule && line >= first && line <= last)
-              spans
+    let file_only, deep_only = split_only only in
+    Result.map
+      (fun files ->
+        let file_findings =
+          List.concat_map
+            (fun (file : Ast.file) ->
+              let path = file.Ast.path in
+              let mli_exists =
+                if Filename.check_suffix path ".ml" then
+                  Some (mli_exists_of path)
+                else None
+              in
+              lint_file ?only:file_only ?mli_exists file)
+            files
         in
-        Taint.analyze ?only:deep_only ~suppressed
-          (List.filter (fun (p, _) -> is_ocaml p) toks)
-      end
-    in
-    Ok (List.sort Finding.compare (token_findings @ deep_findings))
+        let deep_findings =
+          if (not deep) || deep_only = Some [] then []
+          else begin
+            let sups = Hashtbl.create 16 in
+            List.iter
+              (fun (file : Ast.file) ->
+                Hashtbl.replace sups file.Ast.path (suppressions file))
+              files;
+            let suppressed ~rule ~file ~line =
+              match Hashtbl.find_opt sups file with
+              | None -> false
+              | Some spans -> covered spans ~rule ~line
+            in
+            Taint.analyze ?only:deep_only ~suppressed
+              (List.filter (fun (f : Ast.file) -> is_ocaml f.Ast.path) files)
+          end
+        in
+        List.sort Finding.compare (file_findings @ deep_findings))
+      (parse_all sources)
 
 let check_sources ?only ?deep sources =
   let set = List.map fst sources in
@@ -156,13 +155,14 @@ let call_graph paths =
   match Walker.collect paths with
   | Error _ as e -> e
   | Ok files ->
-    let summaries =
+    let sources =
       List.filter_map
-        (fun f ->
-          if is_ocaml f then
-            Some (Ast.summarize ~file:f (Lexer.tokenize (read_file f)))
-          else None)
+        (fun f -> if is_ocaml f then Some (f, read_file f) else None)
         files
     in
-    let tab = Symtab.build summaries in
-    Ok (Callgraph.dump (Callgraph.build tab summaries))
+    Result.map
+      (fun parsed ->
+        let summaries = List.map Ast.summarize parsed in
+        let tab = Symtab.build summaries in
+        Callgraph.dump (Callgraph.build tab summaries))
+      (parse_all sources)

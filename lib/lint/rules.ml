@@ -1,3 +1,5 @@
+open Parsetree
+
 type context = { path : string; mli_exists : bool option }
 
 type t = {
@@ -5,7 +7,7 @@ type t = {
   summary : string;
   rationale : string;
   applies : string -> bool;
-  check : context -> Lexer.token array -> Finding.t list;
+  check : context -> Ast.file -> Finding.t list;
 }
 
 (* --- path scopes ------------------------------------------------------------ *)
@@ -37,34 +39,84 @@ let outside_timed path = not (in_dir "bench" path) && not (serve_scope path)
 
 let is_dune path = basename path = "dune"
 
-(* --- token utilities -------------------------------------------------------- *)
+(* --- syntax helpers --------------------------------------------------------- *)
 
-(* Rules match against code tokens only; comments never participate in
-   sequence patterns. *)
-let code_tokens ts =
-  Array.of_list
-    (List.filter
-       (fun (t : Lexer.token) ->
-         match t.Lexer.kind with Lexer.Comment _ -> false | _ -> true)
-       (Array.to_list ts))
+(* [Some (m, f)] for an identifier expression naming [f] in module [m], the
+   innermost qualifier ([""] when unqualified): [Stdlib.Sys.time] is
+   [("Sys", "time")]. *)
+let callee e =
+  match e.pexp_desc with
+  | Pexp_ident { txt; _ } -> (
+    match Ast.ident txt with
+    | [], f -> Some ("", f)
+    | path, f -> Some (List.hd (List.rev path), f))
+  | _ -> None
 
-let kind_at (code : Lexer.token array) i =
-  if i >= 0 && i < Array.length code then Some code.(i).Lexer.kind else None
+(* Collects what [scan] emits as findings of [rule]. *)
+let findings ~rule ctx scan =
+  let acc = ref [] in
+  scan (fun loc message ->
+      acc :=
+        Finding.make ~rule ~file:ctx.path ~line:(Ast.line loc) message :: !acc);
+  !acc
 
-let is_float_lit = function Some (Lexer.Float_lit _) -> true | _ -> false
+(* Calls [f] on every expression of the file, enclosing ones first. *)
+let iter_exprs f file =
+  let super = Ast_iterator.default_iterator in
+  Ast.iter
+    { super with expr = (fun self e -> f e; super.expr self e) }
+    file
 
-let finding ~rule ~(ctx : context) ~line message =
-  Finding.make ~rule ~file:ctx.path ~line message
+(* Calls [f path loc] on every module path the file names: the qualifier of
+   a value, constructor, field or type constructor, and module expressions,
+   module types and opens. *)
+let iter_module_paths f file =
+  let qualified { Location.txt; loc } =
+    match Ast.ident txt with [], _ -> () | path, _ -> f path loc
+  in
+  let whole { Location.txt; loc } =
+    let path, last = Ast.ident txt in
+    f (path @ [ last ]) loc
+  in
+  let super = Ast_iterator.default_iterator in
+  let expr self e =
+    (match e.pexp_desc with
+    | Pexp_ident l | Pexp_construct (l, _) | Pexp_field (_, l)
+    | Pexp_setfield (_, l, _) ->
+      qualified l
+    | Pexp_record (fields, _) -> List.iter (fun (l, _) -> qualified l) fields
+    | _ -> ());
+    super.expr self e
+  and pat self p =
+    (match p.ppat_desc with
+    | Ppat_construct (l, _) -> qualified l
+    | Ppat_record (fields, _) -> List.iter (fun (l, _) -> qualified l) fields
+    | _ -> ());
+    super.pat self p
+  and typ self t =
+    (match t.ptyp_desc with Ptyp_constr (l, _) -> qualified l | _ -> ());
+    super.typ self t
+  and module_expr self m =
+    (match m.pmod_desc with Pmod_ident l -> whole l | _ -> ());
+    super.module_expr self m
+  and module_type self m =
+    (match m.pmty_desc with Pmty_ident l | Pmty_alias l -> whole l | _ -> ());
+    super.module_type self m
+  and open_description self o =
+    whole o.popen_expr;
+    super.open_description self o
+  in
+  Ast.iter
+    { super with expr; pat; typ; module_expr; module_type; open_description }
+    file
 
-(* --- float-identifier inference ---------------------------------------------- *)
+(* --- float inference -------------------------------------------------------- *)
 
-(* A lightweight intra-file pass that tracks let-bound identifiers whose
-   float-ness is syntactically evident: float annotations, float-literal
-   right-hand sides, results of [float_of_int]/[sqrt]/[Float.*], and float
-   arithmetic chains. The generalized min/max and float-eq rules consult
-   this set so [min x y] on inferred floats is caught without a type
-   checker. Shadowing a tracked name with a visibly non-float binding
-   removes it again, so the set stays per-file sound enough for linting. *)
+(* A float is what the syntax makes evident: a float literal, a [: float]
+   annotation, a float constant, a call of a float-returning function, or
+   a same-file binding to one of those. The generalized min/max and
+   float-eq rules consult this, so [min x y] on a let-bound float is caught
+   without a type checker. *)
 
 module SS = Set.Make (String)
 
@@ -73,15 +125,16 @@ let float_constants =
     [ "infinity"; "neg_infinity"; "nan"; "max_float"; "min_float";
       "epsilon_float" ]
 
-(* Stdlib functions that always return float. *)
+(* Stdlib functions and operators that always return float. *)
 let float_builtins =
   SS.of_list
     [ "sqrt"; "exp"; "log"; "log10"; "expm1"; "log1p"; "cos"; "sin"; "tan";
       "acos"; "asin"; "atan"; "atan2"; "cosh"; "sinh"; "tanh"; "ceil";
       "floor"; "abs_float"; "mod_float"; "float_of_int"; "float_of_string";
-      "float"; "ldexp"; "copysign" ]
+      "float"; "ldexp"; "copysign"; "+."; "-."; "*."; "/."; "**"; "~-." ]
 
-(* Float-module members that return float (not [equal]/[compare]/[to_int]). *)
+(* Float-module members that are or return float (not [equal]/[compare]/
+   [to_int]). *)
 let float_module_fns =
   SS.of_list
     [ "of_int"; "of_string"; "abs"; "neg"; "add"; "sub"; "mul"; "div"; "rem";
@@ -92,78 +145,66 @@ let float_module_fns =
       "nan"; "infinity"; "neg_infinity"; "pi"; "epsilon"; "max_float";
       "min_float" ]
 
-let float_operator = function
-  | Some (Lexer.Op ("+." | "-." | "*." | "/." | "**")) -> true
+let is_float_type t =
+  match t.ptyp_desc with
+  | Ptyp_constr ({ txt = Lident "float"; _ }, []) -> true
   | _ -> false
 
-let binding_break = function
-  | Some (Lexer.Ident ("in" | "let" | "and" | "done" | "then" | "else"))
-  | Some (Lexer.Op (";" | ";;" | ")" | "]" | "}" | ","))
-  | None -> true
-  | _ -> false
+let rec is_float floats e =
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_float _) -> true
+  | Pexp_constraint (e, t) -> is_float_type t || is_float floats e
+  | Pexp_apply (f, _) -> (
+    match callee f with
+    | Some ("", g) -> SS.mem g float_builtins
+    | Some ("Float", g) -> SS.mem g float_module_fns
+    | _ -> false)
+  | _ -> (
+    match callee e with
+    | Some ("", x) -> SS.mem x float_constants || SS.mem x floats
+    | Some ("Float", x) -> SS.mem x float_module_fns
+    | _ -> false)
 
-(* Does the expression starting at [j] syntactically denote a float? *)
-let rec rhs_is_float fids code j =
-  match kind_at code j with
-  | Some (Lexer.Op ("(" | "-" | "-." | "+." | "+" | "~-." )) ->
-    rhs_is_float fids code (j + 1)
-  | Some (Lexer.Float_lit _) -> true
-  | Some (Lexer.Ident s) when SS.mem s float_constants -> true
-  | Some (Lexer.Ident s) when SS.mem s float_builtins -> true
-  | Some (Lexer.Uident "Float") ->
-    kind_at code (j + 1) = Some (Lexer.Op ".")
-    && (match kind_at code (j + 2) with
-       | Some (Lexer.Ident f) -> SS.mem f float_module_fns
-       | _ -> false)
-  | Some (Lexer.Ident s) when SS.mem s fids ->
-    (* A known float ident: an alias binding, or the head of a float
-       arithmetic chain. *)
-    float_operator (kind_at code (j + 1)) || binding_break (kind_at code (j + 1))
-  | _ -> false
-
-let float_idents code =
-  let fids = ref SS.empty in
-  let n = Array.length code in
-  for i = 0 to n - 1 do
-    (match (kind_at code i, kind_at code (i + 1)) with
-    (* [let x = <float rhs>] / [and x = <float rhs>]; a non-float rebind
-       evicts a stale entry. *)
-    | Some (Lexer.Ident ("let" | "and")), Some (Lexer.Ident x)
-      when kind_at code (i + 2) = Some (Lexer.Op "=") ->
-      if rhs_is_float !fids code (i + 3) then fids := SS.add x !fids
-      else fids := SS.remove x !fids
-    (* [let x : float = …]. *)
-    | Some (Lexer.Ident ("let" | "and")), Some (Lexer.Ident x)
-      when kind_at code (i + 2) = Some (Lexer.Op ":")
-           && kind_at code (i + 3) = Some (Lexer.Ident "float") ->
-      fids := SS.add x !fids
-    (* Annotated pattern or parameter: [(x : float)]. *)
-    | Some (Lexer.Op "("), Some (Lexer.Ident x)
-      when kind_at code (i + 2) = Some (Lexer.Op ":")
-           && kind_at code (i + 3) = Some (Lexer.Ident "float")
-           && kind_at code (i + 4) = Some (Lexer.Op ")") ->
-      fids := SS.add x !fids
-    | _ -> ())
-  done;
-  !fids
+(* The names the file binds to a float, in source order: a later non-float
+   binding of a name evicts it, and a [(x : float)] pattern adds it. *)
+let float_names file =
+  let floats = ref SS.empty in
+  let super = Ast_iterator.default_iterator in
+  let value_binding self vb =
+    (match vb.pvb_pat.ppat_desc with
+    | Ppat_var { txt = x; _ } ->
+      let annotated =
+        match vb.pvb_constraint with
+        | Some (Pvc_constraint { typ; _ }) -> is_float_type typ
+        | _ -> false
+      in
+      floats :=
+        if annotated || is_float !floats vb.pvb_expr then SS.add x !floats
+        else SS.remove x !floats
+    | _ -> ());
+    super.value_binding self vb
+  and pat self p =
+    (match p.ppat_desc with
+    | Ppat_constraint ({ ppat_desc = Ppat_var { txt = x; _ }; _ }, t)
+      when is_float_type t ->
+      floats := SS.add x !floats
+    | _ -> ());
+    super.pat self p
+  in
+  Ast.iter { super with value_binding; pat } file;
+  !floats
 
 (* --- no-stdlib-random ------------------------------------------------------- *)
 
-let check_stdlib_random ctx ts =
-  let code = code_tokens ts in
-  let acc = ref [] in
-  Array.iteri
-    (fun _ (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Uident "Random" ->
-        acc :=
-          finding ~rule:"no-stdlib-random" ~ctx ~line:t.Lexer.line
-            "Stdlib.Random is seeded globally and not splittable; draw from \
-             Cold_prng.Prng so runs stay reproducible"
-          :: !acc
-      | _ -> ())
-    code;
-  !acc
+let check_stdlib_random ctx file =
+  findings ~rule:"no-stdlib-random" ctx (fun emit ->
+      iter_module_paths
+        (fun path loc ->
+          if List.mem "Random" path then
+            emit loc
+              "Stdlib.Random is seeded globally and not splittable; draw from \
+               Cold_prng.Prng so runs stay reproducible")
+        file)
 
 (* --- no-wall-clock ---------------------------------------------------------- *)
 
@@ -171,373 +212,268 @@ let wall_clock_calls =
   [ ("Sys", "time"); ("Unix", "gettimeofday"); ("Unix", "time");
     ("Unix", "localtime"); ("Unix", "gmtime") ]
 
-let check_wall_clock ctx ts =
-  let code = code_tokens ts in
-  let acc = ref [] in
-  for i = 0 to Array.length code - 3 do
-    match (code.(i).Lexer.kind, code.(i + 1).Lexer.kind, code.(i + 2).Lexer.kind)
-    with
-    | Lexer.Uident m, Lexer.Op ".", Lexer.Ident f
-      when List.mem (m, f) wall_clock_calls ->
-      acc :=
-        finding ~rule:"no-wall-clock" ~ctx ~line:code.(i).Lexer.line
-          (Printf.sprintf
-             "%s.%s reads the wall clock; outputs must depend only on the \
-              seed (timing belongs in bench/)"
-             m f)
-        :: !acc
-    | _ -> ()
-  done;
-  !acc
+let check_wall_clock ctx file =
+  findings ~rule:"no-wall-clock" ctx (fun emit ->
+      iter_exprs
+        (fun e ->
+          match callee e with
+          | Some ((m, f) as call) when List.mem call wall_clock_calls ->
+            emit e.pexp_loc
+              (Printf.sprintf
+                 "%s.%s reads the wall clock; outputs must depend only on the \
+                  seed (timing belongs in bench/)"
+                 m f)
+          | _ -> ())
+        file)
 
 (* --- no-polymorphic-compare ------------------------------------------------- *)
 
-let check_poly_compare ctx ts =
-  let code = code_tokens ts in
-  let acc = ref [] in
-  let flag line =
-    acc :=
-      finding ~rule:"no-polymorphic-compare" ~ctx ~line
-        "polymorphic compare silently depends on memory representation; use \
-         a typed comparator (Int.compare, Float.compare, a record comparator)"
-      :: !acc
-  in
-  Array.iteri
-    (fun i (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Ident "compare" -> (
-        let prev = kind_at code (i - 1) in
-        let next = kind_at code (i + 1) in
-        let qualified = prev = Some (Lexer.Op ".") in
-        let poly_module =
-          qualified
-          && (kind_at code (i - 2) = Some (Lexer.Uident "Stdlib")
-             || kind_at code (i - 2) = Some (Lexer.Uident "Poly"))
-        in
-        let is_definition =
-          match prev with
-          | Some (Lexer.Ident ("let" | "and" | "rec" | "method" | "val" | "external"))
-            -> true
-          | _ -> false
-        in
-        let is_label =
-          prev = Some (Lexer.Op "~")
-          ||
-          match next with
-          | Some (Lexer.Op op) -> String.length op > 0 && op.[0] = ':'
-          | _ -> false
-        in
-        if poly_module then flag t.Lexer.line
-        else if (not qualified) && (not is_definition) && not is_label then
-          flag t.Lexer.line)
-      | _ -> ())
-    code;
-  !acc
+let check_poly_compare ctx file =
+  findings ~rule:"no-polymorphic-compare" ctx (fun emit ->
+      iter_exprs
+        (fun e ->
+          match callee e with
+          | Some (("" | "Stdlib" | "Poly"), "compare") ->
+            emit e.pexp_loc
+              "polymorphic compare silently depends on memory representation; \
+               use a typed comparator (Int.compare, Float.compare, a record \
+               comparator)"
+          | _ -> ())
+        file)
 
 (* --- no-polymorphic-minmax --------------------------------------------------- *)
 
-(* Float detection: a float literal, a well-known float constant, or an
-   identifier the intra-file inference pass ({!float_idents}) resolved to
-   float. The inference covers annotations, float-literal bindings and
-   [float_of_int]/[Float.*] results; floats visible only through module
-   interfaces still escape — a merlin-backed mode remains future work. *)
-let floatish_token fids = function
-  | Some (Lexer.Float_lit _) -> true
-  | Some (Lexer.Ident s) when SS.mem s float_constants -> true
-  | Some (Lexer.Ident s) when SS.mem s fids -> true
-  | _ -> false
-
-(* Stop scanning at tokens that end the argument list of a simple
-   application, so floats in a later expression cannot trigger a match. *)
-let argument_window_break = function
-  | Some (Lexer.Op (";" | "|" | "->" | ")" | "]" | "}" | "," | "<-" | ":="))
-  | Some
-      (Lexer.Ident
-        ("then" | "else" | "in" | "do" | "done" | "with" | "when" | "and")) ->
-    true
-  | None -> true
-  | _ -> false
-
-let check_poly_minmax ctx ts =
-  let code = code_tokens ts in
-  let fids = float_idents code in
-  let acc = ref [] in
-  let flag line name =
-    acc :=
-      finding ~rule:"no-polymorphic-minmax" ~ctx ~line
-        (Printf.sprintf
-           "polymorphic '%s' on float-looking operands compares boxed \
-            representations; use Float.%s (explicit NaN/-0. semantics, no \
-            polymorphic dispatch)"
-           name
-           (match name with "compare" -> "compare" | n -> n))
-      :: !acc
+(* A bare [min]/[max]/[compare] fires when a float-looking operand follows
+   it in an application: its own arguments, or — when it is itself passed
+   along, as in [Array.fold_left max 0.0 xs] — the arguments after it. *)
+let check_poly_minmax ctx file =
+  let floats = float_names file in
+  let bare e =
+    match callee e with
+    | Some ("", (("min" | "max" | "compare") as name)) -> Some name
+    | _ -> None
   in
-  Array.iteri
-    (fun i (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Ident (("min" | "max" | "compare") as name) -> (
-        let prev = kind_at code (i - 1) in
-        let next = kind_at code (i + 1) in
-        let qualified = prev = Some (Lexer.Op ".") in
-        let is_definition =
-          match prev with
-          | Some (Lexer.Ident ("let" | "and" | "rec" | "method" | "val" | "external"))
-            -> true
-          | _ -> false
-        in
-        let is_label =
-          prev = Some (Lexer.Op "~")
-          ||
-          match next with
-          | Some (Lexer.Op op) -> String.length op > 0 && op.[0] = ':'
-          | _ -> false
-        in
-        (* [max = ...] is a binding or record field, never an application. *)
-        let is_binding = next = Some (Lexer.Op "=") in
-        if not (qualified || is_definition || is_label || is_binding) then begin
-          let rec scan j =
-            if j > i + 4 then ()
-            else if argument_window_break (kind_at code j) then ()
-            else if floatish_token fids (kind_at code j) then
-              flag t.Lexer.line name
-            else scan (j + 1)
-          in
-          scan (i + 1)
-        end)
-      | _ -> ())
-    code;
-  !acc
+  findings ~rule:"no-polymorphic-minmax" ctx (fun emit ->
+      let flag f name operands =
+        if List.exists (fun (_, a) -> is_float floats a) operands then
+          emit f.pexp_loc
+            (Printf.sprintf
+               "polymorphic '%s' on float-looking operands compares boxed \
+                representations; use Float.%s (explicit NaN/-0. semantics, no \
+                polymorphic dispatch)"
+               name name)
+      in
+      let rec passed = function
+        | (_, a) :: rest ->
+          Option.iter (fun name -> flag a name rest) (bare a);
+          passed rest
+        | [] -> ()
+      in
+      iter_exprs
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_apply (f, args) ->
+            Option.iter (fun name -> flag f name args) (bare f);
+            passed args
+          | _ -> ())
+        file)
 
 (* --- no-failwith-in-lib ----------------------------------------------------- *)
 
-let check_failwith ctx ts =
-  let code = code_tokens ts in
-  let acc = ref [] in
-  Array.iteri
-    (fun i (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Ident "failwith"
-        when kind_at code (i - 1) <> Some (Lexer.Op ".") ->
-        acc :=
-          finding ~rule:"no-failwith-in-lib" ~ctx ~line:t.Lexer.line
-            "library errors must be typed: return a result or raise an \
-             exception declared in the .mli (failwith hides the contract)"
-          :: !acc
-      | _ -> ())
-    code;
-  !acc
+let check_failwith ctx file =
+  findings ~rule:"no-failwith-in-lib" ctx (fun emit ->
+      iter_exprs
+        (fun e ->
+          match callee e with
+          | Some ("", "failwith") ->
+            emit e.pexp_loc
+              "library errors must be typed: return a result or raise an \
+               exception declared in the .mli (failwith hides the contract)"
+          | _ -> ())
+        file)
 
 (* --- mli-required ----------------------------------------------------------- *)
 
-let check_mli ctx (_ : Lexer.token array) =
+let check_mli ctx (_ : Ast.file) =
   match ctx.mli_exists with
   | Some false ->
-    [ finding ~rule:"mli-required" ~ctx ~line:1
+    [ Finding.make ~rule:"mli-required" ~file:ctx.path ~line:1
         "library modules need a .mli: an explicit interface is the contract \
          the lint rules (and reviewers) check errors and determinism against" ]
   | _ -> []
 
 (* --- no-naked-float-eq ------------------------------------------------------ *)
 
-(* [=] doubles as binding syntax, so only flag it when backward context says
-   we are inside an expression comparison. [<>], [==] and [!=] are always
-   comparisons. *)
-let comparison_context code i =
-  let rec scan j steps =
-    if j < 0 || steps > 40 then false
-    else
-      match code.(j).Lexer.kind with
-      | Lexer.Ident
-          ( "if" | "when" | "while" | "then" | "else" | "begin" | "do" | "in"
-          | "not" ) -> true
-      | Lexer.Op ("&&" | "||" | "->") -> true
-      | Lexer.Ident
-          ( "let" | "and" | "with" | "fun" | "function" | "module" | "type"
-          | "method" | "val" | "mutable" ) -> false
-      | Lexer.Op ("{" | ";" | "," | "|" | "~" | "?" | "<-" | ":=") -> false
-      | _ -> scan (j - 1) (steps + 1)
+let check_float_eq ctx file =
+  let floats = float_names file in
+  let literal e =
+    match e.pexp_desc with Pexp_constant (Pconst_float _) -> true | _ -> false
   in
-  scan (i - 1) 0
-
-let check_float_eq ctx ts =
-  let code = code_tokens ts in
-  let fids = float_idents code in
-  let acc = ref [] in
-  let flag line op what =
-    acc :=
-      finding ~rule:"no-naked-float-eq" ~ctx ~line
-        (Printf.sprintf
-           "'%s' on %s: exact float equality is representation-dependent; \
-            use Float.equal for intentional exact tests or compare against \
-            an epsilon"
-           op what)
-      :: !acc
-  in
-  let float_ident = function
-    | Some (Lexer.Ident s) -> SS.mem s fids || SS.mem s float_constants
-    | _ -> false
-  in
-  Array.iteri
-    (fun i (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Op (("=" | "<>" | "==" | "!=") as op) ->
-        let prev = kind_at code (i - 1) in
-        let next = kind_at code (i + 1) in
-        let prev_float = is_float_lit prev in
-        let next_float = is_float_lit next in
-        if prev_float || next_float then begin
-          if op <> "=" then flag t.Lexer.line op "a float literal"
-          else if prev_float || comparison_context code i then
-            flag t.Lexer.line op "a float literal"
-        end
-        else if float_ident prev || float_ident next then begin
-          (* Inferred operands: [=] only counts inside a comparison, so
-             alias bindings ([let y = x]) never fire. *)
-          let name =
-            match (if float_ident prev then prev else next) with
-            | Some (Lexer.Ident s) -> Printf.sprintf "'%s' (inferred float)" s
-            | _ -> "an inferred float"
-          in
-          if op <> "=" || comparison_context code i then flag t.Lexer.line op name
-        end
-      | _ -> ())
-    code;
-  !acc
+  findings ~rule:"no-naked-float-eq" ctx (fun emit ->
+      iter_exprs
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_apply (f, args) -> (
+            match callee f with
+            | Some ("", (("=" | "<>" | "==" | "!=") as op)) -> (
+              let operands = List.map snd args in
+              let what =
+                if List.exists literal operands then Some "a float literal"
+                else
+                  match List.find_opt (is_float floats) operands with
+                  | Some { pexp_desc = Pexp_ident { txt = Lident x; _ }; _ } ->
+                    Some (Printf.sprintf "'%s' (inferred float)" x)
+                  | Some _ -> Some "an inferred float"
+                  | None -> None
+              in
+              match what with
+              | Some what ->
+                emit f.pexp_loc
+                  (Printf.sprintf
+                     "'%s' on %s: exact float equality is \
+                      representation-dependent; use Float.equal for \
+                      intentional exact tests or compare against an epsilon"
+                     op what)
+              | None -> ())
+            | _ -> ())
+          | _ -> ())
+        file)
 
 (* --- hashtbl-iteration-order ------------------------------------------------- *)
 
 (* [Hashtbl.iter]/[fold] present bindings in unspecified hash order. A fold
-   always feeds an accumulator, so it is a candidate unless the call sits
-   inside a canonicalizing sort ([List.sort … (Hashtbl.fold …)]) or one of
-   the blessed [Cold_util.Tbl] wrappers. An iter is a candidate only when
-   its body visibly accumulates (list cons, ref assignment) or writes to an
-   output channel — per-binding in-place mutation ([f.field <- …]) is
-   order-insensitive and stays quiet. *)
+   always feeds an accumulator, so it is a candidate unless it sits inside
+   an argument of a canonicalizing sort ([List.sort … (Hashtbl.fold …)],
+   also through [|>] and [@@]) or of one of the blessed [Cold_util.Tbl]
+   wrappers. An iter is a candidate only when its callback visibly
+   accumulates (list cons, ref assignment) or writes to an output channel —
+   per-binding in-place mutation ([f.field <- …]) is order-insensitive and
+   stays quiet. *)
 
 let sort_markers =
   [ "sort"; "sort_uniq"; "stable_sort"; "fast_sort"; "sorted_bindings";
     "sorted_keys"; "iter_sorted"; "fold_sorted" ]
 
-(* Did a sort application open just before [i], with no statement boundary
-   in between? Catches [List.sort cmp (Hashtbl.fold …)] even when [cmp] is
-   a multi-token comparator lambda. *)
-let backward_sorted code i =
-  let rec scan j steps =
-    if j < 0 || steps > 60 then false
-    else
-      match code.(j).Lexer.kind with
-      | Lexer.Ident s when List.mem s sort_markers -> true
-      | Lexer.Ident ("let" | "in" | "do" | "done" | "begin" | "then" | "else")
-        -> false
-      | Lexer.Op (";" | ";;" | "<-" | ":=") -> false
-      | _ -> scan (j - 1) (steps + 1)
-  in
-  scan (i - 1) 0
+let sorts e =
+  let head = match e.pexp_desc with Pexp_apply (f, _) -> f | _ -> e in
+  match callee head with
+  | Some (_, f) -> List.mem f sort_markers
+  | None -> false
 
-let output_idents =
-  [ "output_string"; "output_char"; "output_value"; "print_string";
-    "print_endline"; "print_int"; "print_float"; "print_char";
-    "print_newline"; "prerr_string"; "prerr_endline" ]
+(* Is [e] an application of a sort, or a pipe into one? *)
+let sorting e =
+  match e.pexp_desc with
+  | Pexp_apply (f, args) -> (
+    sorts f
+    ||
+    match (callee f, args) with
+    | Some ("", "|>"), [ _; (_, g) ] | Some ("", "@@"), [ (_, g); _ ] -> sorts g
+    | _ -> false)
+  | _ -> false
 
-(* Scan the argument following [Hashtbl.iter]/[iteri] — normally a [fun]
-   lambda — for accumulation or output markers, stopping when the argument
-   list closes or a statement boundary is reached. *)
-let iter_body_accumulates code i =
-  let n = Array.length code in
-  let rec scan j depth steps =
-    if j >= n || steps > 200 then false
-    else
-      match code.(j).Lexer.kind with
-      | Lexer.Op ("(" | "[" | "{") -> scan (j + 1) (depth + 1) (steps + 1)
-      | Lexer.Op (")" | "]" | "}") ->
-        if depth <= 1 then false else scan (j + 1) (depth - 1) (steps + 1)
-      | Lexer.Ident "begin" -> scan (j + 1) (depth + 1) (steps + 1)
-      | Lexer.Ident "end" ->
-        if depth <= 1 then false else scan (j + 1) (depth - 1) (steps + 1)
-      | Lexer.Op ("::" | ":=") -> true
-      | Lexer.Uident ("Buffer" | "Printf" | "Format") -> true
-      | Lexer.Ident s when List.mem s output_idents -> true
-      | Lexer.Op ";" when depth = 0 -> false
-      | _ -> scan (j + 1) depth (steps + 1)
-  in
-  scan (i + 1) 0 0
-
-let check_hashtbl_order ctx ts =
-  let code = code_tokens ts in
-  let acc = ref [] in
-  let flag line what fix =
-    acc :=
-      finding ~rule:"hashtbl-iteration-order" ~ctx ~line
-        (Printf.sprintf
-           "%s visits bindings in unspecified hash order, so the result \
-            depends on insertion history; %s"
-           what fix)
-      :: !acc
-  in
-  Array.iteri
-    (fun i (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Uident "Hashtbl"
-        when kind_at code (i + 1) = Some (Lexer.Op ".") -> (
-        match kind_at code (i + 2) with
-        | Some (Lexer.Ident (("fold" | "to_seq" | "to_seq_keys" | "to_seq_values") as f))
-          ->
-          if not (backward_sorted code i) then
-            flag t.Lexer.line
-              (Printf.sprintf "Hashtbl.%s feeding an accumulator" f)
-              "sort first (Cold_util.Tbl.fold_sorted / sorted_bindings) or \
-               sort the result before it is consumed"
-        | Some (Lexer.Ident (("iter" | "iteri") as f)) ->
-          if iter_body_accumulates code (i + 2) then
-            flag t.Lexer.line
+let check_hashtbl_order ctx file =
+  findings ~rule:"hashtbl-iteration-order" ctx (fun emit ->
+      let flag loc what fix =
+        emit loc
+          (Printf.sprintf
+             "%s visits bindings in unspecified hash order, so the result \
+              depends on insertion history; %s"
+             what fix)
+      in
+      let sorted = ref 0 in
+      let super = Ast_iterator.default_iterator in
+      let expr self e =
+        (match (e.pexp_desc, callee e) with
+        | ( _,
+            Some
+              ( "Hashtbl",
+                (("fold" | "to_seq" | "to_seq_keys" | "to_seq_values") as f) ) )
+          when !sorted = 0 ->
+          flag e.pexp_loc
+            (Printf.sprintf "Hashtbl.%s feeding an accumulator" f)
+            "sort first (Cold_util.Tbl.fold_sorted / sorted_bindings) or sort \
+             the result before it is consumed"
+        | Pexp_apply (g, (Nolabel, callback) :: _), _ -> (
+          match callee g with
+          | Some ("Hashtbl", (("iter" | "iteri") as f))
+            when Ast.accumulates callback ->
+            flag g.pexp_loc
               (Printf.sprintf
                  "Hashtbl.%s with an accumulating or output-writing body" f)
               "iterate in canonical key order (Cold_util.Tbl.iter_sorted)"
-        | _ -> ())
-      | _ -> ())
-    code;
-  !acc
+          | _ -> ())
+        | _ -> ());
+        if sorting e then begin
+          incr sorted;
+          super.expr self e;
+          decr sorted
+        end
+        else super.expr self e
+      in
+      Ast.iter { super with expr } file)
 
 (* --- unix-dependency-fence --------------------------------------------------- *)
 
-(* The fence has two faces: [Unix.]-qualified code (and [open Unix]) in
-   OCaml sources, and a [unix] library dependency in dune stanzas — the
-   walker hands dune files to the token rules too, and the OCaml lexer
-   tokenizes their sexps well enough to spot a bare [unix] atom. In dune
-   files a dotted suffix like [notty.unix] names a sublibrary of something
-   else and is not the unix dependency itself. *)
+(* The fence has two faces: a [Unix] module path in OCaml sources (including
+   [open Unix]), and a [unix] library dependency in dune stanzas — the
+   walker hands dune files to the rules too. In a dune file only a bare
+   [unix] atom counts: a dotted one like [notty.unix] names a sublibrary of
+   something else, and [;] comments and strings are skipped. *)
 
-let check_unix_fence ctx ts =
-  let code = code_tokens ts in
-  let acc = ref [] in
-  if is_dune ctx.path then
-    Array.iteri
-      (fun i (t : Lexer.token) ->
-        match t.Lexer.kind with
-        | Lexer.Ident "unix" when kind_at code (i - 1) <> Some (Lexer.Op ".") ->
-          acc :=
-            finding ~rule:"unix-dependency-fence" ~ctx ~line:t.Lexer.line
-              "unix dependency in a lib/ dune stanza: core libraries must \
-               stay free of sockets and clocks so synthesis is a pure \
-               function of the seed; daemon code belongs in lib/serve"
-            :: !acc
-        | _ -> ())
-      code
-  else
-    Array.iter
-      (fun (t : Lexer.token) ->
-        match t.Lexer.kind with
-        | Lexer.Uident "Unix" ->
-          acc :=
-            finding ~rule:"unix-dependency-fence" ~ctx ~line:t.Lexer.line
-              "Unix.* reference outside lib/serve: core libraries must not \
-               touch sockets, clocks or processes; put daemon code in \
-               lib/serve and keep the computation pure"
-            :: !acc
-        | _ -> ())
-      code;
-  !acc
+let unix_atom_lines text =
+  let n = String.length text in
+  let lines = ref [] in
+  let rec atom_end j =
+    if j < n && not (String.contains " \t\r\n();\"" text.[j]) then
+      atom_end (j + 1)
+    else j
+  in
+  let rec code i line =
+    if i < n then
+      match text.[i] with
+      | '\n' -> code (i + 1) (line + 1)
+      | ' ' | '\t' | '\r' | '(' | ')' -> code (i + 1) line
+      | ';' -> (
+        match String.index_from_opt text i '\n' with
+        | Some j -> code j line
+        | None -> ())
+      | '"' -> string (i + 1) line
+      | _ ->
+        let j = atom_end i in
+        if String.sub text i (j - i) = "unix" then lines := line :: !lines;
+        code j line
+  and string i line =
+    if i < n then
+      match text.[i] with
+      | '"' -> code (i + 1) line
+      | '\\' when i + 1 < n && text.[i + 1] <> '\n' -> string (i + 2) line
+      | '\n' -> string (i + 1) (line + 1)
+      | _ -> string (i + 1) line
+  in
+  code 0 1;
+  List.rev !lines
+
+let check_unix_fence ctx (file : Ast.file) =
+  let rule = "unix-dependency-fence" in
+  match file.tree with
+  | Ast.Dune text ->
+    List.map
+      (fun line ->
+        Finding.make ~rule ~file:ctx.path ~line
+          "unix dependency in a lib/ dune stanza: core libraries must stay \
+           free of sockets and clocks so synthesis is a pure function of the \
+           seed; daemon code belongs in lib/serve")
+      (unix_atom_lines text)
+  | Ast.Impl _ | Ast.Intf _ ->
+    findings ~rule ctx (fun emit ->
+        iter_module_paths
+          (fun path loc ->
+            if List.mem "Unix" path then
+              emit loc
+                "Unix.* reference outside lib/serve: core libraries must not \
+                 touch sockets, clocks or processes; put daemon code in \
+                 lib/serve and keep the computation pure")
+          file)
 
 (* --- todo-tracker ----------------------------------------------------------- *)
 
@@ -569,67 +505,57 @@ let find_bare_marker text =
   in
   try_marker todo_markers
 
-let check_todo ctx ts =
-  let acc = ref [] in
-  Array.iter
-    (fun (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Comment text -> (
-        match find_bare_marker text with
-        | Some m ->
-          acc :=
-            finding ~rule:"todo-tracker" ~ctx ~line:t.Lexer.line
+let check_todo ctx (file : Ast.file) =
+  findings ~rule:"todo-tracker" ctx (fun emit ->
+      List.iter
+        (fun (text, loc) ->
+          match find_bare_marker text with
+          | Some m ->
+            emit loc
               (Printf.sprintf
                  "untracked %s: attach an owner or issue, e.g. %s(name), so \
                   stale markers cannot silently accumulate"
                  m m)
-            :: !acc
-        | None -> ())
-      | _ -> ())
-    ts;
-  !acc
+          | None -> ())
+        file.comments)
 
 (* --- magic-cost-constant ---------------------------------------------------- *)
 
-let cost_params = [ "k0"; "k1"; "k2"; "k3" ]
-
-(* Value position may open with parens or unary minus before the literal. *)
-let rec literal_after code i =
-  match kind_at code i with
-  | Some (Lexer.Op ("(" | "-" | "-." | "+." | "+")) -> literal_after code (i + 1)
-  | Some (Lexer.Int_lit _ | Lexer.Float_lit _) -> true
-  | _ -> false
-
-let check_magic_cost ctx ts =
-  let code = code_tokens ts in
-  let acc = ref [] in
-  let flag line k =
-    acc :=
-      finding ~rule:"magic-cost-constant" ~ctx ~line
-        (Printf.sprintf
-           "magic literal for cost parameter %s: name it or take it from \
-            Presets so the paper's parameter points stay in one place"
-           k)
-      :: !acc
+(* A numeric literal given to a cost parameter: a labelled argument
+   [~k2:1e-4], an optional argument's default [?(k2 = 1e-4)], or a record
+   field [k2 = 1e-4]. *)
+let check_magic_cost ctx file =
+  let literal e =
+    match e.pexp_desc with
+    | Pexp_constant (Pconst_integer _ | Pconst_float _) -> true
+    | _ -> false
   in
-  Array.iteri
-    (fun i (t : Lexer.token) ->
-      match t.Lexer.kind with
-      | Lexer.Ident k when List.mem k cost_params -> (
-        let next = kind_at code (i + 1) in
-        let labelled =
-          kind_at code (i - 1) = Some (Lexer.Op "~")
-          &&
-          match next with
-          | Some (Lexer.Op op) -> String.length op > 0 && op.[0] = ':'
-          | _ -> false
-        in
-        let bound = next = Some (Lexer.Op "=") in
-        if (labelled || bound) && literal_after code (i + 2) then
-          flag t.Lexer.line k)
-      | _ -> ())
-    code;
-  !acc
+  findings ~rule:"magic-cost-constant" ctx (fun emit ->
+      let flag k value =
+        if List.mem k [ "k0"; "k1"; "k2"; "k3" ] && literal value then
+          emit value.pexp_loc
+            (Printf.sprintf
+               "magic literal for cost parameter %s: name it or take it from \
+                Presets so the paper's parameter points stay in one place"
+               k)
+      in
+      iter_exprs
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_apply (_, args) ->
+            List.iter
+              (function
+                | (Asttypes.Labelled k | Optional k), value -> flag k value
+                | Nolabel, _ -> ())
+              args
+          | Pexp_record (fields, _) ->
+            List.iter
+              (fun (l, value) -> flag (snd (Ast.ident l.Location.txt)) value)
+              fields
+          | Pexp_fun ((Labelled k | Optional k), Some default, _, _) ->
+            flag k default
+          | _ -> ())
+        file)
 
 (* --- catalogue -------------------------------------------------------------- *)
 
@@ -673,10 +599,9 @@ let all =
         "Polymorphic min/max/compare on floats dispatch on the boxed \
          representation and pin down no NaN or -0. semantics; the Float \
          module's versions are explicit and branch-free. Detection covers \
-         float literals/constants in the argument window plus let-bound \
-         identifiers whose float-ness is syntactically inferable \
-         (annotations, float-literal bindings, float_of_int/Float.* \
-         results).";
+         operands that are float literals or constants, float arithmetic \
+         or float-returning calls (sqrt, float_of_int, Float.*), and \
+         same-file bindings to one of those or annotated : float.";
       applies = lib_and_bin;
       check = check_poly_minmax;
     };

@@ -1,7 +1,7 @@
 (** The COLD lint rule set.
 
-    Each rule is a token-level check over one source file, paired with a
-    default path scope (per-directory configuration): reproducibility rules
+    Each rule is a check over one source file, read through the compiler's
+    parser ({!Ast.parse}), paired with a default path scope (per-directory configuration): reproducibility rules
     run everywhere, strictness rules run on library code only, and [bench/]
     is exempt from wall-clock checks. See [doc/LINTS.md] for the catalogue
     and the reproducibility rationale behind every rule. *)
@@ -18,21 +18,21 @@ type t = {
   summary : string;  (** one-line description for [--list-rules] *)
   rationale : string;  (** why the rule matters for COLD *)
   applies : string -> bool;  (** default scope, from the file path *)
-  check : context -> Lexer.token array -> Finding.t list;
+  check : context -> Ast.file -> Finding.t list;
 }
 
 val all : t list
-(** Every token-level rule, in catalogue order. *)
+(** Every per-file rule, in catalogue order. *)
 
 val find : string -> t option
-(** Look up a token-level rule by [name]. *)
+(** Look up a per-file rule by [name]. *)
 
 type info = {
   iname : string;
   isummary : string;
   irationale : string;
 }
-(** Catalogue entry shared by token-level and interprocedural rules, for
+(** Catalogue entry shared by per-file and interprocedural rules, for
     [--list-rules] and [--explain]. *)
 
 val deep : info list
@@ -40,8 +40,8 @@ val deep : info list
     Names must match [Taint.rule_names]; a unit test pins the two. *)
 
 val known : string -> bool
-(** [known name] is true for any rule — token-level or deep. Suppression
+(** [known name] is true for any rule — per-file or deep. Suppression
     comments and [--rules] validate against this. *)
 
 val info : string -> info option
-(** Catalogue info for any rule, token-level or deep. *)
+(** Catalogue info for any rule, per-file or deep. *)

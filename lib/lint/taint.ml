@@ -3,7 +3,7 @@ let par_mutation_rule = "par-unsync-mutation"
 let mutex_rule = "mutex-unbalanced"
 let rule_names = [ nondet_rule; par_mutation_rule; mutex_rule ]
 
-(* Token rules whose findings seed the taint: (rule, id tag, short text). *)
+(* Per-file rules whose findings seed the taint: (rule, id tag, short text). *)
 let source_rules =
   [
     ("no-wall-clock", "wall-clock", "a wall-clock read");
@@ -37,12 +37,12 @@ let hashtbl_rule_applies =
 
 (* --- source collection -------------------------------------------------------- *)
 
-let token_rule_sources ~suppressed graph files =
+let rule_sources ~suppressed graph files =
   List.concat_map
-    (fun (path, tokens) ->
+    (fun (file : Ast.file) ->
+      let path = file.Ast.path in
       if Filename.check_suffix path ".mli" then []
       else
-        let arr = Array.of_list tokens in
         let ctx = { Rules.path; mli_exists = None } in
         List.concat_map
           (fun (rule, tag, desc) ->
@@ -65,14 +65,14 @@ let token_rule_sources ~suppressed graph files =
                         { snode = node; sline = f.Finding.line; stag = tag;
                           sdesc = desc }
                     | None -> None)
-                (r.Rules.check ctx arr)
+                (r.Rules.check ctx file)
             | _ -> [])
           source_rules)
     files
 
 (* Helper-wrapped Hashtbl iteration: [Hashtbl.iter helper tbl] where the
    named helper visibly accumulates or mutates — invisible to the
-   token-level body scan, which only sees the helper's name. *)
+   per-file rule, which only sees the helper's name. *)
 let helper_iteration_sources ~suppressed tab graph =
   let nodes = Callgraph.nodes graph in
   let acc = ref [] in
@@ -380,7 +380,7 @@ let analyze ?only ~suppressed files =
   if not (List.exists wants rule_names) then []
   else begin
     let summaries =
-      List.map (fun (path, tokens) -> Ast.summarize ~file:path tokens) files
+      List.map Ast.summarize files
     in
     let tab = Symtab.build summaries in
     let graph = Callgraph.build tab summaries in
@@ -388,7 +388,7 @@ let analyze ?only ~suppressed files =
     let nondet =
       if wants nondet_rule then
         let sources =
-          token_rule_sources ~suppressed graph files
+          rule_sources ~suppressed graph files
           @ helper_iteration_sources ~suppressed tab graph
         in
         nondet_findings ~suppressed roots graph sources

@@ -1,7 +1,7 @@
 (** Interprocedural determinism-taint and parallel-safety analysis.
 
     Built on {!Ast}/{!Symtab}/{!Callgraph}, this pass sees what the
-    token-level rules cannot: impurity that crosses function or module
+    per-file rules cannot: impurity that crosses function or module
     boundaries. Three rule families:
 
     - [nondet-taint]: a fixpoint marks every definition that transitively
@@ -17,8 +17,8 @@
     - [mutex-unbalanced]: [Mutex.lock] with no [Mutex.unlock] or
       [Mutex.protect] reachable from the locking definition.
 
-    Sources double-count token-rule semantics: a source suppressed under
-    its token rule (or under [nondet-taint]) at the source line produces no
+    Sources double-count per-file rule semantics: a source suppressed under
+    its own rule (or under [nondet-taint]) at the source line produces no
     chains; a suppression at the sink line silences just that sink. *)
 
 val nondet_rule : string
@@ -31,9 +31,9 @@ val rule_names : string list
 val analyze :
   ?only:string list ->
   suppressed:(rule:string -> file:string -> line:int -> bool) ->
-  (string * Lexer.token list) list ->
+  Ast.file list ->
   Finding.t list
 (** [analyze ~suppressed files] runs the deep rules over the whole file
-    set ([(path, tokens)] pairs, [.mli] included — interfaces define the
+    set (parsed files, [.mli] included — interfaces define the
     export roots). [only], when given, restricts to the named deep rules.
     Findings are unsorted; the engine merges and orders them. *)

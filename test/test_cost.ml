@@ -289,17 +289,17 @@ let test_oracle_colocated () =
 (* A PoP with no population carries no demand, so cutting it off leaves
    the network feasible: every path must still agree with the reference,
    including the partially settled trees of the other sources. *)
+let zero_population_context n seed =
+  let base = random_context n seed in
+  let pops = Gravity.populations base.Context.tm in
+  pops.(n - 1) <- 0.0;
+  Context.of_points_and_populations ~traffic_scale:0.4 base.Context.points pops
+
 let test_oracle_zero_population () =
   List.iter
     (fun n ->
-      let base = random_context n (500 + n) in
-      let pops = Gravity.populations base.Context.tm in
+      let ctx = zero_population_context n (500 + n) in
       let lonely = n - 1 in
-      pops.(lonely) <- 0.0;
-      let ctx =
-        Context.of_points_and_populations ~traffic_scale:0.4 base.Context.points
-          pops
-      in
       let g = Graph.of_edges n (List.init (n - 2) (fun i -> (0, i + 1))) in
       Alcotest.(check bool)
         (Printf.sprintf "n=%d stays feasible" n)
@@ -343,6 +343,64 @@ let test_oracle_seed_set_trials () =
   Alcotest.(check bool)
     (Printf.sprintf "n=20: over 1000 trials (got %d)" trials)
     true (trials > 1000)
+
+(* The seeding sweep: over a k2/k3 grid and four context families, every
+   algorithm's graph and cost bits, and every seed set, equal the
+   historical heuristics priced with Cost.evaluate. *)
+let check_seeding label p ctx =
+  let eval = Cost.evaluate p ctx in
+  let permutations = 2 in
+  List.iter
+    (fun alg ->
+      let name = Printf.sprintf "%s %s" label (Heuristics.name alg) in
+      let (want_g, want_c) = Cost_oracle.run ~eval alg ctx (Prng.create 611) in
+      let (got_g, got_c) = Heuristics.run alg p ctx (Prng.create 611) in
+      Alcotest.(check bool) (name ^ " graph") true (Graph.equal got_g want_g);
+      if not (bits_equal got_c want_c) then
+        Alcotest.failf "%s cost: %h, reference %h" name got_c want_c)
+    (Heuristics.all ~permutations);
+  let want = Cost_oracle.seed_set ~eval ~permutations ctx (Prng.create 612) in
+  let got = Heuristics.seed_set ~permutations p ctx (Prng.create 612) in
+  Alcotest.(check bool) (label ^ " seed set") true (List.equal Graph.equal got want)
+
+let seeding_contexts n seed =
+  let pareto =
+    { (Context.default_spec ~n) with
+      Context.population = Cold_traffic.Population.pareto_heavy }
+  in
+  [
+    ("default", random_context n seed);
+    ("colocated", colocated_context n seed);
+    ("zero population", zero_population_context n seed);
+    ("pareto", Context.generate pareto (Prng.create seed));
+  ]
+
+let test_oracle_seeding_sweep () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (family, ctx) ->
+          List.iter
+            (fun k2 ->
+              List.iter
+                (fun k3 ->
+                  check_seeding
+                    (Printf.sprintf "n=%d %s k2=%g k3=%g" n family k2 k3)
+                    (Cost.params ~k2 ~k3 ()) ctx)
+                [ 0.0; 10.0 ])
+            [ 2.5e-5; 1e-4; 4e-4; 1.6e-3 ])
+        (seeding_contexts n (620 + n)))
+    [ 2; 3; 10 ];
+  (* Corners at n = 20: the k2 extremes on the degenerate families. *)
+  let corners = seeding_contexts 20 640 in
+  List.iter
+    (fun (family, k2, k3) ->
+      check_seeding
+        (Printf.sprintf "n=20 %s k2=%g k3=%g" family k2 k3)
+        (Cost.params ~k2 ~k3 ())
+        (List.assoc family corners))
+    [ ("colocated", 1.6e-3, 10.0); ("zero population", 2.5e-5, 0.0);
+      ("pareto", 4e-4, 10.0) ]
 
 (* The same comparisons fanned out over a pool: each domain routes in its
    own scratch, and the results must not depend on the domain count. *)
@@ -426,6 +484,7 @@ let () =
           Alcotest.test_case "colocated PoPs" `Quick test_oracle_colocated;
           Alcotest.test_case "zero population" `Quick test_oracle_zero_population;
           Alcotest.test_case "seed set trials" `Quick test_oracle_seed_set_trials;
+          Alcotest.test_case "seeding sweep" `Quick test_oracle_seeding_sweep;
           Alcotest.test_case "domains" `Quick test_oracle_domains;
         ] );
       ( "allocation",

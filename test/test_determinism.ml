@@ -237,47 +237,6 @@ let test_incremental_across_domains () =
            got oracle))
     [ 1; 2; 4; 8 ]
 
-(* --- locality mode across domains ---------------------------------------- *)
-
-let test_locality_across_domains () =
-  (* The spatial locality mode is a different RNG trajectory than the
-     uniform operators, but it must be just as deterministic: candidates
-     are bred serially, so the same seed gives bitwise-identical results at
-     every domain count — and a bitwise-identical rerun at the same count. *)
-  let module Cost = Cold.Cost in
-  let module Ga = Cold.Ga in
-  let ctx = Context.generate (Context.default_spec ~n:14) (Prng.create 61) in
-  let params = Cost.params ~k2:2e-4 () in
-  let settings =
-    { Ga.default_settings with
-      Ga.population_size = 12; generations = 4; num_saved = 3;
-      num_crossover = 5; num_mutation = 4 }
-  in
-  let run domains =
-    Ga.run ~domains ~locality:4 settings params ctx (Prng.create 62)
-  in
-  let reference = run 1 in
-  List.iter
-    (fun domains ->
-      let r = run domains in
-      Alcotest.(check bool)
-        (Printf.sprintf "best cost bitwise @ %d domains" domains)
-        true
-        (Int64.equal
-           (Int64.bits_of_float r.Ga.best_cost)
-           (Int64.bits_of_float reference.Ga.best_cost));
-      Alcotest.(check bool)
-        (Printf.sprintf "best graph equal @ %d domains" domains)
-        true
-        (Graph.equal r.Ga.best reference.Ga.best);
-      Alcotest.(check bool)
-        (Printf.sprintf "history bitwise @ %d domains" domains)
-        true
-        (Array.for_all2
-           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-           r.Ga.history reference.Ga.history))
-    [ 1; 2; 4; 8 ]
-
 let () =
   Alcotest.run "cold_determinism"
     [
@@ -305,10 +264,5 @@ let () =
         [
           Alcotest.test_case "clone/retarget across domains" `Quick
             test_incremental_across_domains;
-        ] );
-      ( "locality",
-        [
-          Alcotest.test_case "ga locality mode across domains" `Quick
-            test_locality_across_domains;
         ] );
     ]

@@ -121,7 +121,16 @@ let test_seed_set () =
 let test_too_small () =
   let ctx = ctx_of 16 1 in
   Alcotest.check_raises "one PoP" (Invalid_argument "Heuristics.run: need at least 2 PoPs")
-    (fun () -> ignore (Heuristics.run Heuristics.Complete (Cost.params ()) ctx (Prng.create 1)))
+    (fun () -> ignore (Heuristics.run Heuristics.Complete (Cost.params ()) ctx (Prng.create 1)));
+  (* seed_set checks the size itself, before pricing the star. *)
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "seed_set at n = %d" n)
+        (Invalid_argument "Heuristics.seed_set: need at least 2 PoPs")
+        (fun () ->
+          ignore (Heuristics.seed_set (Cost.params ()) (ctx_of 16 n) (Prng.create 1))))
+    [ 0; 1 ]
 
 let () =
   Alcotest.run "cold_heuristics"

@@ -1,8 +1,6 @@
-(* Tests for the cold_lint static-analysis pass: lexer classification, each
-   rule's positive / negative / suppression behaviour, scoping, and the
-   reporters. *)
+(* Tests for the cold_lint static-analysis pass: each rule's positive /
+   negative / suppression behaviour, scoping, parsing, and the reporters. *)
 
-module Lexer = Cold_lint.Lexer
 module Finding = Cold_lint.Finding
 module Rules = Cold_lint.Rules
 module Engine = Cold_lint.Engine
@@ -25,82 +23,6 @@ let check_clean rule src =
   Alcotest.(check (list string))
     (rule ^ " stays quiet") []
     (rules_fired (lint ~only:[ rule ] src))
-
-(* --- lexer ------------------------------------------------------------------- *)
-
-let kinds src =
-  List.map (fun (t : Lexer.token) -> t.Lexer.kind) (Lexer.tokenize src)
-
-let test_lexer_basics () =
-  Alcotest.(check bool)
-    "idents and ops" true
-    (kinds "let x = compare a b"
-    = Lexer.
-        [ Ident "let"; Ident "x"; Op "="; Ident "compare"; Ident "a"; Ident "b" ]);
-  Alcotest.(check bool)
-    "float vs int" true
-    (kinds "1 2.0 3e-4 0x1f"
-    = Lexer.[ Int_lit "1"; Float_lit "2.0"; Float_lit "3e-4"; Int_lit "0x1f" ])
-
-let test_lexer_comments_strings () =
-  (* Tokens inside comments and strings must never look like code. *)
-  Alcotest.(check bool)
-    "nested comment" true
-    (match kinds "(* a (* failwith *) b *) x" with
-    | [ Lexer.Comment _; Lexer.Ident "x" ] -> true
-    | _ -> false);
-  Alcotest.(check bool)
-    "string hides code" true
-    (kinds {|"failwith (* not a comment"|} = [ Lexer.String_lit ]);
-  Alcotest.(check bool)
-    "quoted string literal" true
-    (match kinds "{xx|failwith \"raw\"|xx} y" with
-    | [ Lexer.String_lit; Lexer.Ident "y" ] -> true
-    | _ -> false)
-
-let test_lexer_quoted_strings () =
-  (* Delimiters are [a-z_]* per the grammar: underscores yes, digits no —
-     a digit must fall through to bigarray-style brace punctuation. *)
-  Alcotest.(check bool)
-    "underscore delimiter" true
-    (match kinds "{foo_bar|failwith \"raw\"|foo_bar} y" with
-    | [ Lexer.String_lit; Lexer.Ident "y" ] -> true
-    | _ -> false);
-  Alcotest.(check bool)
-    "digit is not a delimiter" true
-    (not (List.mem Lexer.String_lit (kinds "m.{1|ignore|1} x")));
-  Alcotest.(check bool)
-    "empty delimiter" true
-    (match kinds "{|a \"b\" c|} y" with
-    | [ Lexer.String_lit; Lexer.Ident "y" ] -> true
-    | _ -> false);
-  (* Newlines inside the literal must advance the line counter. *)
-  let tokens = Lexer.tokenize "{q|one\ntwo\nthree|q}\nafter" in
-  (match tokens with
-  | [ s; a ] ->
-    Alcotest.(check bool) "is string" true (s.Lexer.kind = Lexer.String_lit);
-    Alcotest.(check int) "string starts line 1" 1 s.Lexer.line;
-    Alcotest.(check int) "string ends line 3" 3 s.Lexer.end_line;
-    Alcotest.(check int) "next token on line 4" 4 a.Lexer.line
-  | _ -> Alcotest.fail "expected exactly two tokens");
-  (* An unterminated literal must not loop or crash. *)
-  Alcotest.(check bool)
-    "unterminated literal consumed" true
-    (List.mem Lexer.String_lit (kinds "{q|never closed"))
-
-let test_lexer_chars_and_lines () =
-  Alcotest.(check bool)
-    "char literal vs type var" true
-    (match kinds "'a' 'b" with
-    | [ Lexer.Char_lit ] -> true
-    | _ -> false);
-  let tokens = Lexer.tokenize "x\n(* one\n   two *)\ny" in
-  let line_of i = (List.nth tokens i).Lexer.line in
-  let end_of i = (List.nth tokens i).Lexer.end_line in
-  Alcotest.(check int) "x on line 1" 1 (line_of 0);
-  Alcotest.(check int) "comment starts line 2" 2 (line_of 1);
-  Alcotest.(check int) "comment ends line 3" 3 (end_of 1);
-  Alcotest.(check int) "y on line 4" 4 (line_of 2)
 
 (* --- rules: positive / negative / suppression -------------------------------- *)
 
@@ -309,6 +231,46 @@ let test_multi_rule_suppression () =
      no-polymorphic-compare *)"
   in
   Alcotest.(check (list string)) "both suppressed" [] (rules_fired (lint src))
+
+let test_comments_and_strings_inert () =
+  (* Code-shaped text inside comments and string literals never fires. *)
+  check_clean "no-failwith-in-lib" "(* a (* failwith *) b *) let x = 1";
+  check_clean "no-failwith-in-lib" {|let s = "failwith (* not a comment"|};
+  check_clean "no-failwith-in-lib" "let s = {xx|failwith \"raw\"|xx}";
+  check_clean "no-failwith-in-lib" "let s = {foo_bar|failwith|foo_bar}";
+  check_clean "no-stdlib-random" "let s = {|a \"b\" Random.int c|}";
+  check_clean "todo-tracker" "let s = \"(* TODO *)\"";
+  (* A literal spanning lines advances the line count for what follows. *)
+  match
+    lint ~only:[ "no-failwith-in-lib" ]
+      "let s = {q|one\ntwo\nthree|q}\nlet f () = failwith \"x\""
+  with
+  | [ f ] -> Alcotest.(check int) "finding on line 4" 4 f.Finding.line
+  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs)
+
+let test_multi_line_suppression () =
+  (* A comment covers every line it touches plus the next one. *)
+  let allow = "(* lint: allow no-wall-clock\n   the clock is the point *)" in
+  check_clean "no-wall-clock" (allow ^ "\nlet t = Sys.time ()");
+  check_clean "no-wall-clock"
+    "let t = Sys.time () (* lint: allow no-wall-clock\n   spans lines *)";
+  check_fires "no-wall-clock" (allow ^ "\n\nlet t = Sys.time ()")
+
+let test_syntax_error () =
+  (* A source the compiler rejects fails the run, naming file and line. *)
+  (match
+     Engine.check_sources
+       [ ("lib/ok.ml", "let x = 1"); ("lib/bad.ml", "let x = 1\nlet y = (") ]
+   with
+  | Error msg ->
+    Alcotest.(check string) "names file and line"
+      "lib/bad.ml:2: Syntax error: operator expected." msg
+  | Ok _ -> Alcotest.fail "unparsable source accepted");
+  match Engine.check_source ~path:"lib/bad.ml" "let s = \"open" with
+  | exception Engine.Syntax_error msg ->
+    Alcotest.(check string) "check_source raises"
+      "lib/bad.ml:1: String literal not terminated" msg
+  | _ -> Alcotest.fail "check_source accepted an unparsable source"
 
 let test_unknown_rule_rejected () =
   match Engine.check_paths ~only:[ "no-such-rule" ] [ "lib" ] with
@@ -739,15 +701,6 @@ let test_rule_catalogue () =
 let () =
   Alcotest.run "cold_lint"
     [
-      ( "lexer",
-        [
-          Alcotest.test_case "basics" `Quick test_lexer_basics;
-          Alcotest.test_case "comments and strings" `Quick
-            test_lexer_comments_strings;
-          Alcotest.test_case "quoted strings" `Quick test_lexer_quoted_strings;
-          Alcotest.test_case "chars and line numbers" `Quick
-            test_lexer_chars_and_lines;
-        ] );
       ( "rules",
         [
           Alcotest.test_case "no-stdlib-random" `Quick test_no_stdlib_random;
@@ -773,6 +726,11 @@ let () =
         [
           Alcotest.test_case "multi-rule suppression" `Quick
             test_multi_rule_suppression;
+          Alcotest.test_case "comments and strings are inert" `Quick
+            test_comments_and_strings_inert;
+          Alcotest.test_case "multi-line suppression" `Quick
+            test_multi_line_suppression;
+          Alcotest.test_case "syntax error" `Quick test_syntax_error;
           Alcotest.test_case "unknown rule rejected" `Quick
             test_unknown_rule_rejected;
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;

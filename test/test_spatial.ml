@@ -1,5 +1,5 @@
-(* The spatial grid index must agree with brute force on every query — the
-   locality operators and Distmat.nearest stand on that equivalence. The
+(* The spatial grid index must agree with brute force on every query —
+   Distmat.nearest and the regional failure cuts stand on that equivalence. The
    sweeps below cover the inputs that stress a bucket grid: uniform scatter,
    tight clusters (many points per cell), co-located points (one cell holds
    everything, ties everywhere), and collinear layouts (a degenerate axis
@@ -57,21 +57,6 @@ let brute_nearest pts i ~except =
     pts;
   Option.map snd !best
 
-let brute_k_nearest pts i ~k ~except =
-  let cand = ref [] in
-  Array.iteri
-    (fun j q ->
-      if j <> i && not (except j) then
-        cand := (Point.distance pts.(i) q, j) :: !cand)
-    pts;
-  let sorted =
-    List.sort
-      (fun (d, j) (d', j') ->
-        match Float.compare d d' with 0 -> Int.compare j j' | c -> c)
-      !cand
-  in
-  Array.of_list (List.map snd (List.filteri (fun idx _ -> idx < k) sorted))
-
 let brute_within pts i ~radius =
   let acc = ref [] in
   Array.iteri
@@ -82,7 +67,6 @@ let brute_within pts i ~radius =
 
 (* --- sweeps ------------------------------------------------------------- *)
 
-let int_array = Alcotest.(array int)
 let int_list = Alcotest.(list int)
 
 let test_nearest_matches_brute () =
@@ -105,37 +89,6 @@ let test_nearest_matches_brute () =
           done)
         (clouds rng n))
     [ 1; 2; 7; 40; 150 ]
-
-let test_k_nearest_matches_brute () =
-  let rng = Prng.create 202 in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun (label, pts) ->
-          let t = Spatial.create pts in
-          List.iter
-            (fun k ->
-              for i = 0 to min (n - 1) 60 do
-                Alcotest.check int_array
-                  (Printf.sprintf "%s n=%d k=%d i=%d" label n k i)
-                  (brute_k_nearest pts i ~k ~except:(fun _ -> false))
-                  (Spatial.k_nearest t i ~k)
-              done)
-            [ 1; 3; 8; n + 5 ])
-        (clouds rng n))
-    [ 1; 6; 33; 120 ]
-
-let test_k_nearest_except () =
-  let rng = Prng.create 303 in
-  let pts = clustered rng 80 in
-  let t = Spatial.create pts in
-  let except j = j mod 3 = 0 in
-  for i = 0 to 79 do
-    Alcotest.check int_array
-      (Printf.sprintf "except i=%d" i)
-      (brute_k_nearest pts i ~k:6 ~except)
-      (Spatial.k_nearest ~except t i ~k:6)
-  done
 
 let test_within_matches_brute () =
   let rng = Prng.create 404 in
@@ -160,13 +113,7 @@ let test_bounds () =
   let t = Spatial.create (uniform (Prng.create 1) 5) in
   Alcotest.(check int) "size" 5 (Spatial.size t);
   Alcotest.check_raises "nearest oob" (Invalid_argument "Spatial.nearest")
-    (fun () -> ignore (Spatial.nearest t 5 ~except:(fun _ -> false)));
-  Alcotest.check_raises "k_nearest oob" (Invalid_argument "Spatial.k_nearest")
-    (fun () -> ignore (Spatial.k_nearest t (-1) ~k:2));
-  Alcotest.check_raises "negative k"
-    (Invalid_argument "Spatial.k_nearest: negative k") (fun () ->
-      ignore (Spatial.k_nearest t 0 ~k:(-1)));
-  Alcotest.(check int) "k=0" 0 (Array.length (Spatial.k_nearest t 0 ~k:0))
+    (fun () -> ignore (Spatial.nearest t 5 ~except:(fun _ -> false)))
 
 (* Distmat.nearest is now grid-backed; nearest_scan is the retained linear
    reference. They must agree on every (index, except) query — same winner,
@@ -198,10 +145,6 @@ let () =
         [
           Alcotest.test_case "nearest = brute force" `Quick
             test_nearest_matches_brute;
-          Alcotest.test_case "k_nearest = brute force" `Quick
-            test_k_nearest_matches_brute;
-          Alcotest.test_case "k_nearest with except" `Quick
-            test_k_nearest_except;
           Alcotest.test_case "within = brute force" `Quick
             test_within_matches_brute;
           Alcotest.test_case "bounds" `Quick test_bounds;
