@@ -68,5 +68,3 @@ let n t = Array.length t.points
 let distance t i j = Distmat.get t.dist i j
 
 let lengths t = Distmat.matrix t.dist
-
-let spatial t = Distmat.spatial t.dist

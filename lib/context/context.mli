@@ -47,13 +47,10 @@ val n : t -> int
 
 val distance : t -> int -> int -> float
 (** Euclidean distance between two PoPs: the link length ℓ of the cost
-    model. *)
+    model, and what a regional failure cut ([Cold_sim.Failure]) compares
+    with its radius. Symmetric bit for bit. *)
 
 val lengths : t -> float array
 (** Every {!distance} as one row-major n×n matrix (entry [i*n + j]), shared
     with the context — read it, never write it. Routing and the cost fold
     index it instead of calling {!distance} per pair. *)
-
-val spatial : t -> Cold_geom.Spatial.t
-(** The bucket-grid index over the PoP locations — the radius queries
-    behind regional failure cuts ([Cold_sim.Failure]). *)

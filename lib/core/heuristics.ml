@@ -23,57 +23,41 @@ let mst_topology ctx =
 
 let clique_topology ctx = Graph.complete (Context.n ctx)
 
-(* Attach every non-hub to its nearest hub. [hubs] is a bool array. The
-   spatial grid behind Distmat.nearest finds each leaf's nearest hub in
-   near-constant time instead of an O(n) scan; ties resolve to the lowest
-   hub index, exactly as the historical strict-< scan did, and the distances
-   compared are the same floats — so the attachment (and every golden
-   topology built on it) is unchanged. *)
-let attach_leaves ctx g hubs =
-  let n = Context.n ctx in
-  for v = 0 to n - 1 do
+(* The one trial layout every heuristic prices: the hub set [hubs] (a bool
+   array) wired by the inter-hub [links], and every other PoP a degree-1
+   leaf on its nearest hub (§5: leaves always re-attach to their closest
+   hub). Distmat.nearest scans the leaf's distance row and breaks ties to
+   the lowest hub index. *)
+let build ctx hubs links =
+  let g = Graph.create (Context.n ctx) in
+  List.iter (fun (a, b) -> Graph.add_edge g a b) links;
+  let not_hub h = not hubs.(h) in
+  for v = 0 to Context.n ctx - 1 do
     if not hubs.(v) then
-      match
-        Cold_geom.Distmat.nearest ctx.Context.dist v
-          ~except:(fun h -> not hubs.(h))
-      with
+      match Cold_geom.Distmat.nearest ctx.Context.dist v ~except:not_hub with
       | Some h -> Graph.add_edge g v h
       | None -> ()
-  done
+  done;
+  g
 
-(* Wire the hub set as a clique. *)
-let wire_clique g hub_list =
-  List.iter
+let hub_ids hubs =
+  List.filter (fun v -> hubs.(v)) (List.init (Array.length hubs) Fun.id)
+
+(* Complete's inter-hub links: every hub pair. *)
+let clique_links hubs =
+  let ids = hub_ids hubs in
+  List.concat_map
     (fun h ->
-      List.iter (fun h' -> if h < h' then Graph.add_edge g h h') hub_list)
-    hub_list
+      List.filter_map (fun h' -> if h < h' then Some (h, h') else None) ids)
+    ids
 
-(* Wire the hub set as a distance MST. *)
-let wire_mst ctx g hub_list =
-  let hubs = Array.of_list hub_list in
-  let k = Array.length hubs in
-  if k > 1 then begin
-    let weight a b = Context.distance ctx hubs.(a) hubs.(b) in
-    List.iter
-      (fun (a, b) -> Graph.add_edge g hubs.(a) hubs.(b))
-      (Mst.prim_complete ~n:k ~weight)
-  end
-
-let build_clique_style ctx hubs =
-  let g = Graph.create (Context.n ctx) in
-  let hub_list = ref [] in
-  Array.iteri (fun v is_hub -> if is_hub then hub_list := v :: !hub_list) hubs;
-  wire_clique g !hub_list;
-  attach_leaves ctx g hubs;
-  g
-
-let build_mst_style ctx hubs =
-  let g = Graph.create (Context.n ctx) in
-  let hub_list = ref [] in
-  Array.iteri (fun v is_hub -> if is_hub then hub_list := v :: !hub_list) hubs;
-  wire_mst ctx g (List.rev !hub_list);
-  attach_leaves ctx g hubs;
-  g
+(* MST's inter-hub links: Prim over the hubs in ascending id order. *)
+let mst_links ctx hubs =
+  let ids = Array.of_list (hub_ids hubs) in
+  List.map
+    (fun (a, b) -> (ids.(a), ids.(b)))
+    (Mst.prim_complete ~n:(Array.length ids) ~weight:(fun a b ->
+         Context.distance ctx ids.(a) ids.(b)))
 
 let best_star params ctx =
   let n = Context.n ctx in
@@ -82,7 +66,7 @@ let best_star params ctx =
   for hub = 0 to n - 1 do
     let hubs = Array.make n false in
     hubs.(hub) <- true;
-    let g = build_clique_style ctx hubs in
+    let g = build ctx hubs [] in
     let c = Cost.evaluate params ctx g in
     match !best with
     | None -> best := Some (g, c)
@@ -94,12 +78,6 @@ let best_star params ctx =
    feasible link first, keep adding links while total cost decreases. The
    leaves are re-attached after each trial, so we rebuild candidate graphs
    from the hub structure. [inter_edges] is the current inter-hub edge set. *)
-let build_with_edges ctx hubs inter_edges =
-  let g = Graph.create (Context.n ctx) in
-  List.iter (fun (a, b) -> Graph.add_edge g a b) inter_edges;
-  attach_leaves ctx g hubs;
-  g
-
 let greedy_attach params ctx hubs inter_edges new_hub =
   (* Candidate endpoints: existing hubs. *)
   let targets = ref [] in
@@ -111,7 +89,7 @@ let greedy_attach params ctx hubs inter_edges new_hub =
     List.iter
       (fun t ->
         let trial_edges = (min new_hub t, max new_hub t) :: edges in
-        let g = build_with_edges ctx hubs trial_edges in
+        let g = build ctx hubs trial_edges in
         let c = Cost.evaluate params ctx g in
         match !best with
         | None -> best := Some (t, c)
@@ -145,7 +123,7 @@ let drive ctx ~star:(star, star_cost) ~wire =
   let hubs = Array.make n false in
   hubs.(star_hub star) <- true;
   let inter_edges = ref [] in
-  let current = ref (build_with_edges ctx hubs !inter_edges) in
+  let current = ref (build ctx hubs !inter_edges) in
   let current_cost = ref star_cost in
   let improved = ref true in
   while !improved do
@@ -173,18 +151,12 @@ let drive ctx ~star:(star, star_cost) ~wire =
   (!current, !current_cost)
 
 (* Each algorithm takes the best star, graph and cost, from its caller:
-   [run] computes it per call, [seed_set] once for all four. *)
-let run_complete params ctx ~star =
+   [run] computes it per call, [seed_set] once for all four. Complete and
+   MST wire the whole hub set afresh with [links] per trial, so the drive's
+   edge list goes unused. *)
+let run_rewired ~links params ctx ~star =
   let wire hubs _edges _candidate =
-    let g = build_clique_style ctx hubs in
-    (* Clique wiring is recomputed wholesale; edge list unused downstream. *)
-    (g, Cost.evaluate params ctx g, [])
-  in
-  drive ctx ~star ~wire
-
-let run_mst params ctx ~star =
-  let wire hubs _edges _candidate =
-    let g = build_mst_style ctx hubs in
+    let g = build ctx hubs (links hubs) in
     (g, Cost.evaluate params ctx g, [])
   in
   drive ctx ~star ~wire
@@ -192,7 +164,7 @@ let run_mst params ctx ~star =
 let run_greedy_attachment params ctx ~star =
   let wire hubs edges candidate =
     let (edges', c) = greedy_attach params ctx hubs edges candidate in
-    (build_with_edges ctx hubs edges', c, edges')
+    (build ctx hubs edges', c, edges')
   in
   drive ctx ~star ~wire
 
@@ -223,7 +195,7 @@ let run_random_greedy ~permutations params ctx rng ~star:(star, star_cost) =
         end)
       order;
     if !cost < snd !best_overall then
-      best_overall := (build_with_edges ctx hubs !inter_edges, !cost)
+      best_overall := (build ctx hubs !inter_edges, !cost)
   done;
   !best_overall
 
@@ -233,8 +205,8 @@ let check_size caller ctx =
 
 let run_from ~star alg params ctx rng =
   match alg with
-  | Complete -> run_complete params ctx ~star
-  | Mst_hubs -> run_mst params ctx ~star
+  | Complete -> run_rewired ~links:clique_links params ctx ~star
+  | Mst_hubs -> run_rewired ~links:(mst_links ctx) params ctx ~star
   | Greedy_attachment -> run_greedy_attachment params ctx ~star
   | Random_greedy { permutations } ->
     run_random_greedy ~permutations params ctx rng ~star

@@ -2,7 +2,9 @@
 
     Cost evaluation queries pairwise distances millions of times per GA run,
     so distances are precomputed once per context into a flat row-major
-    n×n float array. *)
+    n×n float array. A nearest-neighbour query ({!nearest}) is one scan
+    of a row; doc/PERF.md records why no bucket grid stands in front of
+    it. *)
 
 type t
 
@@ -24,18 +26,8 @@ val matrix : t -> float array
 val max_distance : t -> float
 (** Largest pairwise distance (0 for fewer than 2 points). *)
 
-val spatial : t -> Spatial.t
-(** The bucket-grid index built over the same points at {!of_points} time —
-    the nearest / radius query engine behind {!nearest} and regional
-    failure cuts. *)
-
 val nearest : t -> int -> except:(int -> bool) -> int option
 (** [nearest d i ~except] is the index [j <> i] minimizing [get d i j] among
     indices for which [except j] is [false]; ties break to the smaller index.
-    [None] if no candidate exists. Answered through the spatial grid in
-    O(cells touched) rather than an O(n) row scan; results are identical to
-    {!nearest_scan}. *)
-
-val nearest_scan : t -> int -> except:(int -> bool) -> int option
-(** The O(n) linear-scan reference implementation of {!nearest}, kept for
-    the grid/scan equivalence sweeps in the test suite. *)
+    [None] if no candidate exists. One O(n) scan of row [i]. Raises
+    [Invalid_argument "Distmat.nearest"] if [i] is out of range. *)

@@ -1,8 +1,5 @@
 module Graph = Cold_graph.Graph
-module Traversal = Cold_graph.Traversal
 module Robustness = Cold_graph.Robustness
-module Context = Cold_context.Context
-module Gravity = Cold_traffic.Gravity
 
 type link_report = {
   link : int * int;
@@ -11,54 +8,19 @@ type link_report = {
   is_bridge : bool;
 }
 
-let separated_demand tm comp =
-  let n = Gravity.size tm in
-  let stranded = ref 0.0 in
-  for s = 0 to n - 1 do
-    for d = s + 1 to n - 1 do
-      if comp.(s) <> comp.(d) then
-        stranded := !stranded +. Gravity.pair_demand tm s d
-    done
-  done;
-  !stranded
-
+(* A single failure's stranded fraction is what the survivability pass
+   loses when it reroutes around that one component. *)
 let stranded_by_link_failure (net : Network.t) u v =
-  let g = net.Network.graph in
-  if not (Graph.mem_edge g u v) then 0.0
-  else begin
-    let tm = net.Network.context.Context.tm in
-    let total = Gravity.total tm in
-    if total <= 0.0 then 0.0
-    else begin
-      let broken = Graph.copy g in
-      Graph.remove_edge broken u v;
-      let (comp, k) = Traversal.connected_components broken in
-      if k = 1 then 0.0 else separated_demand tm comp /. total
-    end
-  end
+  if not (Graph.mem_edge net.Network.graph u v) then 0.0
+  else
+    (Survivability.evaluate net ~down_nodes:[] ~down_links:[ (u, v) ])
+      .Survivability.lost_fraction
 
 let stranded_by_node_failure (net : Network.t) v =
-  let g = net.Network.graph in
-  let n = Graph.node_count g in
-  if v < 0 || v >= n then invalid_arg "Resilience.stranded_by_node_failure";
-  let tm = net.Network.context.Context.tm in
-  let total = Gravity.total tm in
-  if total <= 0.0 then 0.0
-  else begin
-    (* Everything sourced or sunk at v is lost. *)
-    let own = Gravity.row_total tm v *. 2.0 in
-    let broken = Graph.copy g in
-    Graph.remove_all_edges_of broken v;
-    let (comp, _) = Traversal.connected_components broken in
-    let stranded = ref 0.0 in
-    for s = 0 to n - 1 do
-      for d = s + 1 to n - 1 do
-        if s <> v && d <> v && comp.(s) <> comp.(d) then
-          stranded := !stranded +. Gravity.pair_demand tm s d
-      done
-    done;
-    (own +. !stranded) /. total
-  end
+  if v < 0 || v >= Graph.node_count net.Network.graph then
+    invalid_arg "Resilience.stranded_by_node_failure";
+  (Survivability.evaluate net ~down_nodes:[ v ] ~down_links:[])
+    .Survivability.lost_fraction
 
 let link_reports (net : Network.t) =
   let bridges = Robustness.bridges net.Network.graph in

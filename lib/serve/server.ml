@@ -290,7 +290,25 @@ let dump_cache_file t =
 
 (* --- accept loop ----------------------------------------------------------------- *)
 
-let create cfg =
+(* The ranges the daemon can run with; a config outside them is refused
+   before any socket exists. *)
+let check_config cfg =
+  let ranges =
+    [ ("port", cfg.port, 0, 65535);
+      ("domains", cfg.domains, 0, max_int);
+      ("queue_capacity", cfg.queue_capacity, 0, max_int);
+      ("batch", cfg.batch, 1, max_int);
+      ("cache_slots", cfg.cache_slots, 0, max_int);
+      ("max_line", cfg.max_line, 1, max_int) ]
+  in
+  match List.find_opt (fun (_, v, lo, hi) -> v < lo || v > hi) ranges with
+  | None -> Ok ()
+  | Some (field, v, lo, hi) ->
+    Error
+      (if hi = max_int then Printf.sprintf "%s must be >= %d, got %d" field lo v
+       else Printf.sprintf "%s must be in %d..%d, got %d" field lo hi v)
+
+let listen cfg =
   match
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
@@ -329,6 +347,8 @@ let create cfg =
   | exception Unix.Unix_error (err, fn, _) ->
     Error (Printf.sprintf "cannot listen on port %d: %s (%s)" cfg.port
              (Unix.error_message err) fn)
+
+let create cfg = Result.bind (check_config cfg) (fun () -> listen cfg)
 
 let port t = t.bound_port
 

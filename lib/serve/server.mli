@@ -28,12 +28,13 @@
     into error frames or connection teardown. *)
 
 type config = {
-  port : int;  (** [0] picks an ephemeral port; see {!port}. *)
+  port : int;  (** 0–65535; [0] picks an ephemeral port; see {!port}. *)
   domains : int;  (** Evaluation streams; [0] autodetects, default 1. *)
-  queue_capacity : int;  (** Admission bound; default 64. *)
-  batch : int;  (** Max jobs per scheduler batch; default 8. *)
+  queue_capacity : int;
+      (** Admission bound, ≥ 0; default 64, [0] sheds every job. *)
+  batch : int;  (** Max jobs per scheduler batch, ≥ 1; default 8. *)
   cache_slots : int;  (** Replay-cache slots; default 256, [0] disables. *)
-  max_line : int;  (** Request-line byte budget; default 4096. *)
+  max_line : int;  (** Request-line byte budget, ≥ 1; default 4096. *)
   cache_file : string option;
       (** Replay-cache persistence (default [None]): {!create} reloads the
           file if it exists and is well-formed ({!Service.restore_cache}),
@@ -50,7 +51,10 @@ val default_config : config
 type t
 
 val create : config -> (t, string) result
-(** Bind and listen on [127.0.0.1:port]. [Error msg] if the socket cannot
+(** Bind and listen on [127.0.0.1:port]. [Error msg] naming the field if a
+    config value is out of range (negative [domains], [queue_capacity] or
+    [cache_slots], [batch] or [max_line] below 1, [port] outside 0–65535),
+    checked before any socket is created; [Error msg] if the socket cannot
     be bound (port in use, permissions). *)
 
 val port : t -> int

@@ -1,7 +1,6 @@
 module Prng = Cold_prng.Prng
 module Dist = Cold_prng.Dist
 module Context = Cold_context.Context
-module Spatial = Cold_geom.Spatial
 module Network = Cold_net.Network
 module Survivability = Cold_net.Survivability
 module Par = Cold_par.Par
@@ -41,7 +40,6 @@ let generate ?(rates = default_rates) ~steps ctx ~seed =
   validate_rates rates;
   if steps < 0 then invalid_arg "Failure.generate: steps must be >= 0";
   let n = Context.n ctx in
-  let spatial = Context.spatial ctx in
   let base = Prng.create seed in
   (* One independent child stream per step (split_at does not advance the
      base generator), so a step's events depend only on (seed, step): the
@@ -66,13 +64,14 @@ let generate ?(rates = default_rates) ~steps ctx ~seed =
         done;
         if n > 0 && Dist.bernoulli rng ~p:rates.regional_rate then begin
           (* Geographically correlated cut: a uniformly drawn epicentre PoP
-             takes down itself and every PoP within the regional radius —
-             one fibre-duct dig, one flooded metro area. *)
+             takes down every PoP within the regional radius of it, itself
+             included (its distance is 0) — one fibre-duct dig, one flooded
+             metro area. *)
           let epicentre = Prng.int rng n in
-          node_down.(epicentre) <- true;
-          List.iter
-            (fun j -> node_down.(j) <- true)
-            (Spatial.within spatial epicentre ~radius:rates.regional_radius)
+          for j = 0 to n - 1 do
+            if Context.distance ctx epicentre j <= rates.regional_radius then
+              node_down.(j) <- true
+          done
         end;
         let down_nodes = ref [] in
         for v = n - 1 downto 0 do

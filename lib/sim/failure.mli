@@ -12,8 +12,9 @@
     absent link is a no-op) fails with probability [link_rate]; every PoP
     with probability [node_rate]; and with probability [regional_rate] a
     geographically correlated cut fires — a uniformly drawn epicentre PoP
-    takes down itself and every PoP within [regional_radius]
-    ({!Cold_geom.Spatial.within}): one fibre-duct dig or regional outage.
+    takes down itself and every PoP whose {!Cold_context.Context.distance}
+    from it is at most [regional_radius]: one fibre-duct dig or regional
+    outage.
 
     {b Determinism.} A trace is a pure function of (seed, rates, context):
     step [i] draws from the [i]-th {!Cold_prng.Prng.split_at} child of the

@@ -112,7 +112,46 @@ let test_regional_cut_extremes () =
     (fun e ->
       Alcotest.(check int) "no nodes" 0 (Array.length e.Failure.down_nodes);
       Alcotest.(check int) "no links" 0 (Array.length e.Failure.down_links))
-    quiet.Failure.events
+    quiet.Failure.events;
+  (* In between, on a context where every third PoP sits on one anchor:
+     each step's cut is exactly the PoPs within the radius of one of its
+     own members, the epicentre, by Point.distance on the raw points. A
+     co-located epicentre takes its twins down even at radius 0. *)
+  let n = 15 in
+  let rng = Prng.create 8 in
+  let anchor = Point.make 20.0 30.0 in
+  let pts =
+    Array.init n (fun i ->
+        if i mod 3 = 0 then anchor
+        else Point.make (50.0 *. Prng.float rng) (50.0 *. Prng.float rng))
+  in
+  let ctx = Context.of_points_and_populations pts (Array.make n 1.0) in
+  let partial = ref 0 in
+  List.iter
+    (fun radius ->
+      let trace =
+        Failure.generate
+          ~rates:{ Failure.link_rate = 0.0; node_rate = 0.0;
+                   regional_rate = 1.0; regional_radius = radius }
+          ~steps:40 ctx ~seed:5
+      in
+      Array.iter
+        (fun e ->
+          let down = Array.to_list e.Failure.down_nodes in
+          let cut epicentre =
+            List.filter
+              (fun j -> Point.distance pts.(epicentre) pts.(j) <= radius)
+              (List.init n Fun.id)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "r=%g step %d is one epicentre's cut" radius
+               e.Failure.step)
+            true
+            (List.exists (fun c -> cut c = down) down);
+          if List.length down > 1 && List.length down < n then incr partial)
+        trace.Failure.events)
+    [ 0.0; 12.0 ];
+  Alcotest.(check bool) "some cuts are partial" true (!partial > 0)
 
 let test_generate_validation () =
   let ctx = ctx_of 1 5 in

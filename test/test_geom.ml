@@ -209,10 +209,87 @@ let test_distmat_nearest () =
   Alcotest.(check (option int)) "all excluded" None
     (Distmat.nearest d 0 ~except:(fun _ -> true))
 
+(* Point clouds that stress a nearest-neighbour query: uniform scatter,
+   tight clusters (many near-ties), co-located points (exact ties
+   everywhere) and collinear layouts (one degenerate axis). *)
+let uniform rng n =
+  Array.init n (fun _ -> Point.make (Prng.float rng) (Prng.float rng))
+
+let clustered rng n =
+  let centers =
+    Array.init (max 1 (n / 10)) (fun _ ->
+        Point.make (Prng.float rng) (Prng.float rng))
+  in
+  Array.init n (fun _ ->
+      let c = centers.(Prng.int rng (Array.length centers)) in
+      Point.make
+        (c.Point.x +. (0.01 *. Prng.float rng))
+        (c.Point.y +. (0.01 *. Prng.float rng)))
+
+let colocated rng n =
+  (* Half the points share one location exactly; the rest scatter. *)
+  let anchor = Point.make (Prng.float rng) (Prng.float rng) in
+  Array.init n (fun i ->
+      if i mod 2 = 0 then anchor
+      else Point.make (Prng.float rng) (Prng.float rng))
+
+let collinear rng n =
+  Array.init n (fun _ -> Point.make (Prng.float rng) 0.25)
+
+let clouds rng n =
+  [ ("uniform", uniform rng n); ("clustered", clustered rng n);
+    ("colocated", colocated rng n); ("collinear", collinear rng n) ]
+
+(* The contract of Distmat.nearest computed from the points themselves:
+   minimize (distance, index) lexicographically, skipping self and excepted
+   points. *)
+let brute_nearest pts i ~except =
+  let best = ref None in
+  Array.iteri
+    (fun j q ->
+      if j <> i && not (except j) then begin
+        let d = Point.distance pts.(i) q in
+        match !best with
+        | None -> best := Some (d, j)
+        | Some (bd, _) -> if d < bd then best := Some (d, j)
+      end)
+    pts;
+  Option.map snd !best
+
+(* Every heuristic attaches a leaf through Distmat.nearest, the historical
+   builders in cost_oracle.ml included, so this sweep is the check of its
+   winner and tie-break that does not go through it. *)
+let test_distmat_nearest_sweep () =
+  let rng = Prng.create 101 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (label, pts) ->
+          let d = Distmat.of_points pts in
+          for i = 0 to n - 1 do
+            List.iter
+              (fun (elabel, except) ->
+                Alcotest.(check (option int))
+                  (Printf.sprintf "%s n=%d i=%d %s" label n i elabel)
+                  (brute_nearest pts i ~except)
+                  (Distmat.nearest d i ~except))
+              [ ("none excepted", fun _ -> false);
+                ("even excepted", fun j -> j mod 2 = 0);
+                ("two of three excepted", fun j -> j mod 3 <> 1) ]
+          done)
+        (clouds rng n))
+    [ 1; 2; 7; 40; 150 ]
+
 let test_distmat_bounds () =
   let d = Distmat.of_points [| Point.make 0.0 0.0; Point.make 1.0 1.0 |] in
   Alcotest.check_raises "out of range" (Invalid_argument "Distmat.get") (fun () ->
-      ignore (Distmat.get d 0 2))
+      ignore (Distmat.get d 0 2));
+  List.iter
+    (fun i ->
+      Alcotest.check_raises "nearest out of range"
+        (Invalid_argument "Distmat.nearest") (fun () ->
+          ignore (Distmat.nearest d i ~except:(fun _ -> false))))
+    [ -1; 2 ]
 
 let qcheck_triangle_inequality =
   QCheck.Test.make ~name:"Euclidean triangle inequality" ~count:500
@@ -256,6 +333,8 @@ let () =
           Alcotest.test_case "consistency" `Quick test_distmat_consistency;
           Alcotest.test_case "max" `Quick test_distmat_max;
           Alcotest.test_case "nearest" `Quick test_distmat_nearest;
+          Alcotest.test_case "nearest = brute force" `Quick
+            test_distmat_nearest_sweep;
           Alcotest.test_case "bounds" `Quick test_distmat_bounds;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_triangle_inequality ]);

@@ -255,6 +255,44 @@ let with_server ?(domains = 1) ?(queue_capacity = 64) ?(cache_slots = 256) f =
         Domain.join runner)
       (fun () -> f (Server.port server))
 
+(* Every out-of-range field is refused by name before a socket exists: the
+   port below is held by a listening socket of the test's own, so a config
+   that got as far as bind would fail with "cannot listen" instead. *)
+let test_config_rejections () =
+  let held = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close held)
+    (fun () ->
+      Unix.bind held (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen held 1;
+      let busy =
+        match Unix.getsockname held with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+      in
+      let d = { Server.default_config with Server.port = busy } in
+      (match Server.create d with
+      | Error msg ->
+        Alcotest.(check bool) "busy port is a bind error" true
+          (String.starts_with ~prefix:"cannot listen" msg)
+      | Ok _ -> Alcotest.fail "bound a port that is already listening");
+      List.iter
+        (fun (field, cfg) ->
+          match Server.create cfg with
+          | Ok _ -> Alcotest.failf "%s: accepted" field
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s named in %S" field msg)
+              true
+              (String.starts_with ~prefix:(field ^ " must be") msg))
+        [ ("port", { d with Server.port = 70000 });
+          ("port", { d with Server.port = -5 });
+          ("domains", { d with Server.domains = -1 });
+          ("queue_capacity", { d with Server.queue_capacity = -1 });
+          ("batch", { d with Server.batch = 0 });
+          ("cache_slots", { d with Server.cache_slots = -1 });
+          ("max_line", { d with Server.max_line = 0 }) ])
+
 let fast_synth ~id ~seed fmt =
   Printf.sprintf "synth %s n=12 seed=%d gens=5 pop=8 perms=1 format=%s" id seed
     fmt
@@ -396,6 +434,7 @@ let () =
         ] );
       ( "wire",
         [
+          Alcotest.test_case "config rejections" `Quick test_config_rejections;
           Alcotest.test_case "robustness" `Quick test_wire_robustness;
           Alcotest.test_case "shed and drain" `Quick test_wire_shed_and_drain;
           Alcotest.test_case "duplicate in-flight" `Quick
