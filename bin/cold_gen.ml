@@ -11,12 +11,13 @@ open Cmdliner
 module Context = Cold_context.Context
 module Network = Cold_net.Network
 module Summary = Cold_metrics.Summary
+module Limits = Cold_util.Limits
 
 (* --- shared options ---------------------------------------------------------- *)
 
-(* Converters that reject a value below the library's own bound as a usage
-   error: cmdliner then exits 124 naming the option, instead of the library
-   raising Invalid_argument mid-run. *)
+(* Converters that reject a value outside the library's own bounds as a
+   usage error: cmdliner then exits 124 naming the option, instead of the
+   library raising Invalid_argument mid-run or running out of memory. *)
 let at_least conv pp min =
   let parse s =
     match Arg.conv_parser conv s with
@@ -29,9 +30,18 @@ let at_least conv pp min =
 let int_at_least = at_least Arg.int Format.pp_print_int
 let float_at_least = at_least Arg.float (fun ppf -> Format.fprintf ppf "%g")
 
+(* The upper bounds are the shared ones of Cold_util.Limits. *)
+let int_between min max =
+  let parse s =
+    match Arg.conv_parser (int_at_least min) s with
+    | Ok v when v > max -> Error (`Msg (Printf.sprintf "must be at most %d" max))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let pops =
-  let doc = "Number of PoPs to synthesize (at least 2)." in
-  Arg.(value & opt (int_at_least 2) 30 & info [ "n"; "pops" ] ~docv:"N" ~doc)
+  let doc = Printf.sprintf "Number of PoPs to synthesize (2 to %d)." Limits.max_n in
+  Arg.(value & opt (int_between 2 Limits.max_n) 30 & info [ "n"; "pops" ] ~docv:"N" ~doc)
 
 let seed =
   let doc = "Random seed (contexts and the GA are deterministic given it)." in
@@ -50,12 +60,20 @@ let k3 =
   Arg.(value & opt (float_at_least 0.0) 0.0 & info [ "k3" ] ~docv:"K3" ~doc)
 
 let generations =
-  let doc = "GA generations (paper default 100)." in
-  Arg.(value & opt (int_at_least 0) 100 & info [ "generations" ] ~docv:"T" ~doc)
+  let doc =
+    Printf.sprintf "GA generations (paper default 100, at most %d)." Limits.max_generations
+  in
+  Arg.(value
+       & opt (int_between 0 Limits.max_generations) 100
+       & info [ "generations" ] ~docv:"T" ~doc)
 
 let population =
-  let doc = "GA population size (paper default 100, at least 2)." in
-  Arg.(value & opt (int_at_least 2) 100 & info [ "population" ] ~docv:"M" ~doc)
+  let doc =
+    Printf.sprintf "GA population size (paper default 100, 2 to %d)." Limits.max_population
+  in
+  Arg.(value
+       & opt (int_between 2 Limits.max_population) 100
+       & info [ "population" ] ~docv:"M" ~doc)
 
 let domains =
   let doc =
@@ -184,8 +202,10 @@ let generate_cmd =
 
 (* An ensemble needs at least one member; the zoo may be empty. *)
 let count ~min =
-  let doc = "Number of networks in the ensemble." in
-  Arg.(value & opt (int_at_least min) 10 & info [ "c"; "count" ] ~docv:"COUNT" ~doc)
+  let doc = Printf.sprintf "Number of networks in the ensemble (at most %d)." Limits.max_count in
+  Arg.(value
+       & opt (int_between min Limits.max_count) 10
+       & info [ "c"; "count" ] ~docv:"COUNT" ~doc)
 
 let ensemble pops seed k0 k2 k3 generations population domains pareto bursty count =
   (* Parallelism pays best at the widest fan-out: whole ensemble members
@@ -309,8 +329,8 @@ let resilience_cmd =
 (* --- evolve ------------------------------------------------------------------- *)
 
 let steps_arg =
-  let doc = "Number of growth steps." in
-  Arg.(value & opt (int_at_least 0) 3 & info [ "steps" ] ~docv:"STEPS" ~doc)
+  let doc = Printf.sprintf "Number of growth steps (at most %d)." Limits.max_steps in
+  Arg.(value & opt (int_between 0 Limits.max_steps) 3 & info [ "steps" ] ~docv:"STEPS" ~doc)
 
 let growth_arg =
   let doc = "Per-step traffic growth factor." in
@@ -325,6 +345,16 @@ let decommission_arg =
   Arg.(value & opt float 50.0 & info [ "decommission" ] ~docv:"COST" ~doc)
 
 let evolve pops seed k0 k2 k3 steps growth added decommission =
+  (* The last design has pops + steps·added PoPs; --steps bounds only the
+     number of redesigns, so the size is checked here (without forming the
+     product, which could overflow). *)
+  if added > 0 && steps > (Limits.max_n - pops) / added then
+    `Error
+      ( true,
+        Printf.sprintf
+          "option '--steps': growing %d PoPs by %d per step for %d steps exceeds %d PoPs"
+          pops added steps Limits.max_n )
+  else
   let module E = Cold.Evolution in
   let params = Cold.Cost.params ~k0 ~k2 ~k3 () in
   let cfg =
@@ -344,15 +374,16 @@ let evolve pops seed k0 k2 k3 steps growth added decommission =
         (Cold_metrics.Degree.average g)
         s.E.cumulative_decommissions)
     states;
-  0
+  `Ok 0
 
 let evolve_cmd =
   let doc = "Grow a network incrementally (legacy links constrain redesigns)." in
   Cmd.v
     (Cmd.info "evolve" ~doc)
     Term.(
-      const evolve $ pops $ seed $ k0 $ k2 $ k3 $ steps_arg $ growth_arg
-      $ added_arg $ decommission_arg)
+      ret
+        (const evolve $ pops $ seed $ k0 $ k2 $ k3 $ steps_arg $ growth_arg
+        $ added_arg $ decommission_arg))
 
 (* --- fit ----------------------------------------------------------------------- *)
 

@@ -14,9 +14,11 @@
     be a pure function of the graph, so hits are bit-identical to
     recomputation by construction.
 
-    All operations are guarded by a mutex; the cache is safe to share
-    across the domains of a {!Cold_par.Par} pool. Keys are defensively
-    copied on insert, so callers may mutate their graph afterwards. *)
+    The cache belongs to one domain and takes no lock: lookups, inserts and
+    counts are serial. To spread misses over a {!Cold_par.Par} pool, hand
+    the pool to {!find_all}, which looks a whole batch up first and fans
+    out only its misses. Keys are defensively copied on insert, so callers
+    may mutate their graph afterwards. *)
 
 type 'a t
 
@@ -26,19 +28,31 @@ val create : slots:int -> 'a t
     track). Raises [Invalid_argument] if [slots < 0]. *)
 
 val find_or_compute : 'a t -> Cold_graph.Graph.t -> (unit -> 'a) -> 'a
-(** [find_or_compute cache g compute] returns the cached value for [g] or
-    runs [compute ()] and stores the result. [compute] runs outside the
-    cache lock, so independent misses evaluate concurrently; two domains
-    racing on the same key may both compute (both results are identical for
-    a pure objective — the second store is a no-op in effect). *)
+(** [find_or_compute cache g compute] returns the cached value for [g], or
+    runs [compute ()] and stores the result. It is {!find_all} on the
+    one-graph batch [[| g |]]. *)
+
+val find_all :
+  'a t -> Cold_graph.Graph.t array -> (Cold_graph.Graph.t array -> 'a array) -> 'a array
+(** [find_all cache graphs compute] is the value of each of [graphs], in
+    order. It looks every graph up first, in index order, and then calls
+    [compute] once, on the misses in index order; [compute] must return
+    one value per graph it is given (typically [Par.map_array pool f]).
+
+    A miss reserves its slot at lookup, so the table changes in the order
+    that a lookup, compute and insert of each graph in turn would change
+    it, and a later graph equal to a reserved key is a hit answered by
+    that miss's value. So the values, {!hits}, {!misses} and the table
+    afterwards are those of that serial sequence, whatever [compute] does
+    in parallel and however the sequence is cut into batches. If [compute]
+    raises, the table is put back as the batch found it (its lookups stay
+    counted) and the exception is re-raised. *)
 
 val hits : 'a t -> int
-(** Lookups answered from the store. With a multi-domain pool the split
-    between {!hits} and {!misses} can vary by a few counts across runs
-    (racing duplicates); their sum — total lookups — cannot. *)
+(** Lookups answered from the store. *)
 
 val misses : 'a t -> int
-(** Lookups that ran [compute]. *)
+(** Lookups that had to be computed. *)
 
 val entries : 'a t -> int
 (** Occupied slots. Grows monotonically from [0] towards capacity:

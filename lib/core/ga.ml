@@ -127,12 +127,15 @@ let run_custom ?(domains = 1) ?(cache_slots = default_cache_slots) ?(seeds = [])
   let cache = Fitness_cache.create ~slots:cache_slots in
   let evaluations = ref 0 in
   Par.with_pool ~domains (fun pool ->
+      (* The memo answers the batch on this domain; only its misses fan out,
+         so every pool task is a real evaluation and the counts are those of
+         the one-domain run. *)
       let evaluate_batch graphs =
         evaluations := !evaluations + Array.length graphs;
-        Par.map_array pool
-          (fun g ->
-            (g, Fitness_cache.find_or_compute cache g (fun () -> objective g)))
-          graphs
+        let costs =
+          Fitness_cache.find_all cache graphs (Par.map_array pool objective)
+        in
+        Array.map2 (fun g c -> (g, c)) graphs costs
       in
       (* Population is kept sorted ascending by cost. *)
       let pop =

@@ -41,9 +41,9 @@ type result = {
           [?domains] and [?cache_slots] setting; memoized duplicates count
           (see {!result.cache_hits} for how many skipped routing). *)
   cache_hits : int;
-      (** Evaluations answered by the fitness memo without routing. With
-          [domains > 1] the hit/miss split may shift by a few counts across
-          runs (racing duplicate evaluations); results never do. *)
+      (** Evaluations answered by the fitness memo without routing. The
+          memo is looked up serially, before the fan-out, so this count and
+          {!result.cache_misses} are the same at every [?domains]. *)
   cache_misses : int;  (** Evaluations that ran the objective. *)
 }
 
@@ -78,11 +78,12 @@ val run :
 
     [?domains] (default 1) sets how many domains evaluate candidates
     concurrently; [0] autodetects ([Domain.recommended_domain_count]).
-    Children are bred serially from the single RNG stream and only their
-    evaluations fan out, with results written into index-addressed slots —
-    so [best], [best_cost], [history], [final_population] and
-    [evaluations] are bit-identical at every domain count (doc/PERF.md has
-    the full argument).
+    Children are bred serially from the single RNG stream, the memo is
+    looked up serially, and only the misses' evaluations fan out, with
+    results written into index-addressed slots — so [best], [best_cost],
+    [history], [final_population], [evaluations], [cache_hits] and
+    [cache_misses] are the same at every domain count (doc/PERF.md has the
+    full argument).
 
     [?cache_slots] (default {!default_cache_slots}) bounds the fitness
     memo that lets duplicate chromosomes skip routing; [0] disables it.

@@ -25,17 +25,23 @@ let tournament ~pool ~winners pop rng =
   Array.sort (fun (_, a) (_, b) -> Float.compare a b) picks;
   Array.sub picks 0 winners
 
+(* Each pair owes one [Dist.choose_weighted] draw, C(n,2) in all. A draw at
+   a pair where every parent agrees cannot change the child, so
+   [Graph.recombine] asks for a parent only where they disagree, and the
+   draws owed in between are skipped: the child and the stream's final
+   state are those of one draw per pair. *)
 let crossover ctx ~parents rng =
   if Array.length parents = 0 then invalid_arg "Operators.crossover: no parents";
   let weights = inverse_cost_weights parents in
-  let n = Graph.node_count (fst parents.(0)) in
-  let child = Graph.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let (parent, _) = parents.(Dist.choose_weighted rng weights) in
-      if Graph.mem_edge parent u v then Graph.add_edge child u v
-    done
-  done;
+  let drawn = ref 0 in
+  let pick rank =
+    Prng.skip rng (rank - !drawn);
+    drawn := rank + 1;
+    Dist.choose_weighted rng weights
+  in
+  let child = Graph.recombine (Array.map fst parents) ~pick in
+  let n = Graph.node_count child in
+  Prng.skip rng ((n * (n - 1) / 2) - !drawn);
   ignore (Repair.repair ctx child);
   child
 

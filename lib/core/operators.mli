@@ -12,8 +12,16 @@ val crossover :
 (** [crossover ctx ~parents g] builds a child: for each of the C(n,2)
     possible links, one parent is drawn with probability inversely
     proportional to its cost and the link's presence is copied from it
-    (§4.1.1). Parents must be non-empty with positive finite costs. The
-    child is repaired to connectivity. *)
+    (§4.1.1). Members with an infinite, zero or nan cost get weight 0; if
+    every weight is 0 the draw is uniform. The child is repaired to
+    connectivity.
+
+    A draw is made only at a pair where the parents disagree
+    ({!Cold_graph.Graph.recombine}); the draws at the other pairs are
+    skipped with {!Cold_prng.Prng.skip}. The child, and the state [g] is
+    left in (C(n,2) draws on), are those of one draw per pair. Raises
+    [Invalid_argument] if [parents] is empty or the parents differ in
+    vertex count. *)
 
 val link_mutation :
   Cold_context.Context.t -> Cold_graph.Graph.t -> Cold_prng.Prng.t -> unit

@@ -186,6 +186,30 @@ let edge_diff g h =
   done;
   (!removed, !added)
 
+let recombine parents ~pick =
+  if Array.length parents = 0 then invalid_arg "Graph.recombine: no parents";
+  let n = parents.(0).n in
+  Array.iter
+    (fun p -> if p.n <> n then invalid_arg "Graph.recombine: size mismatch")
+    parents;
+  let child = create n in
+  let last = Array.length parents - 1 in
+  let rank = ref 0 in
+  for u = 0 to n - 1 do
+    let row = u * n in
+    for v = u + 1 to n - 1 do
+      let b = Bytes.unsafe_get parents.(0).adj (row + v) in
+      let agree = ref true in
+      for p = 1 to last do
+        if Bytes.unsafe_get parents.(p).adj (row + v) <> b then agree := false
+      done;
+      let b = if !agree then b else Bytes.unsafe_get parents.(pick !rank).adj (row + v) in
+      if b = '\001' then add_edge child u v;
+      incr rank
+    done
+  done;
+  child
+
 let of_edges n es =
   let g = create n in
   List.iter (fun (u, v) -> add_edge g u v) es;
@@ -198,14 +222,15 @@ let equal g h = g.n = h.n && g.m = h.m && Bytes.equal g.adj h.adj
 let fingerprint g =
   (* FNV-1a over the adjacency bytes, seeded with n so that empty graphs of
      different sizes differ. The adjacency matrix is symmetric with a zero
-     diagonal, so it is already a canonical encoding of the edge set. *)
+     diagonal, so it is already a canonical encoding of the edge set. The
+     accumulator is a local ref in a plain loop, which the compiler keeps
+     unboxed. *)
   let fnv_prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  let mix b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int b)) fnv_prime
-  in
-  mix g.n;
-  Bytes.iter (fun c -> mix (Char.code c)) g.adj;
+  let h = ref (Int64.mul (Int64.logxor 0xCBF29CE484222325L (Int64.of_int g.n)) fnv_prime) in
+  for i = 0 to Bytes.length g.adj - 1 do
+    let b = Int64.of_int (Char.code (Bytes.unsafe_get g.adj i)) in
+    h := Int64.mul (Int64.logxor !h b) fnv_prime
+  done;
   !h
 
 let adjacency_arrays g =

@@ -97,6 +97,18 @@ val edge_diff : t -> t -> (int * int) list * (int * int) list
     i.e. the operations turning [g] into [h]. Raises [Invalid_argument] if
     the vertex counts differ. O(n²) byte comparison. *)
 
+val recombine : t array -> pick:(int -> int) -> t
+(** [recombine parents ~pick] is the child of one crossover: a pair
+    [{u,v}], [u < v], is a link of the child if every parent has it, is
+    absent if no parent has it, and otherwise is copied from parent
+    [pick r], where [r] is the pair's lexicographic rank among all
+    C(n,2) pairs ([0] for [{0,1}]). [pick] is called only at such
+    disagreeing pairs, in ascending rank order, which is what lets
+    {!Cold.Operators.crossover} skip the draws at the pairs where its
+    parents agree. The parents' rows are read once and not modified.
+    Raises [Invalid_argument] if [parents] is empty or the parents differ
+    in vertex count, before [pick] is called. *)
+
 val of_edges : int -> (int * int) list -> t
 (** [of_edges n es] builds a graph on [n] vertices with the given edges.
     Duplicate edges collapse. Raises [Invalid_argument] on self-loops or

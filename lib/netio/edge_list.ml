@@ -1,4 +1,5 @@
 module Graph = Cold_graph.Graph
+module Limits = Cold_util.Limits
 
 let to_string g =
   let buf = Buffer.create 1024 in
@@ -33,6 +34,10 @@ let of_string s =
       in
       let (n, m) = parse_two header_line header in
       if n < 0 || m < 0 then err header_line "negative header";
+      (* The graph is an n²-byte matrix: refuse a size before allocating it. *)
+      if n > Limits.max_n then
+        err header_line "header claims %d nodes, more than the limit of %d" n
+          Limits.max_n;
       let g = Graph.create n in
       List.iter
         (fun (line, text) ->

@@ -1,4 +1,5 @@
 module Graph = Cold_graph.Graph
+module Limits = Cold_util.Limits
 
 (* Internal control flow only; every public entry point catches this and
    returns a typed [result]. *)
@@ -98,9 +99,9 @@ let parse_internal text =
     let line = match rest with t :: _ -> t.line | [] -> 0 in
     err line "unbalanced brackets"
   end;
-  let graph_pairs =
+  let (graph_pairs, graph_line) =
     match find_all "graph" top with
-    | { value = Block pairs; _ } :: _ -> pairs
+    | { value = Block pairs; vline } :: _ -> (pairs, vline)
     | _ -> err 0 "no graph block"
   in
   let node_ids =
@@ -117,9 +118,14 @@ let parse_internal text =
       (find_all "node" graph_pairs)
   in
   let sorted = List.sort_uniq Int.compare node_ids in
-  let index = Hashtbl.create (List.length sorted) in
+  (* The graph is an n²-byte matrix: refuse a size before allocating it. *)
+  let n = List.length sorted in
+  if n > Limits.max_n then
+    err graph_line
+      (Printf.sprintf "graph has %d nodes, more than the limit of %d" n Limits.max_n);
+  let index = Hashtbl.create n in
   List.iteri (fun i id -> Hashtbl.replace index id i) sorted;
-  let g = Graph.create (List.length sorted) in
+  let g = Graph.create n in
   List.iter
     (function
       | { value = Block pairs; vline } -> (

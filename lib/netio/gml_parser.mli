@@ -11,7 +11,9 @@ val parse : string -> (Cold_graph.Graph.t, Parse_error.t) result
 (** [parse text] builds the topology. Duplicate edges collapse; self-loops
     are dropped (Zoo files contain both). Malformed input (unbalanced
     brackets, edge endpoints without node declarations, missing fields)
-    yields [Error] carrying the offending source line. *)
+    yields [Error] carrying the offending source line. More than
+    {!Cold_util.Limits.max_n} distinct nodes is an [Error] on the [graph]
+    line, raised before the graph is allocated. *)
 
 val read_file : path:string -> (Cold_graph.Graph.t, Parse_error.t) result
 (** [read_file ~path] parses a file. I/O failures still raise [Sys_error];

@@ -21,6 +21,12 @@ let next_state g =
 
 let bits64 g = mix64 (next_state g)
 
+(* The state after k draws is state + k·gamma (mod 2^64); Int64
+   multiplication wraps, so any k lands on the same state as k draws. *)
+let skip g k =
+  if k < 0 then invalid_arg "Prng.skip: negative count";
+  g.state <- Int64.add g.state (Int64.mul golden_gamma (Int64.of_int k))
+
 let split g = { state = bits64 g }
 
 let split_at g i =

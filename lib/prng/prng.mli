@@ -29,6 +29,14 @@ val split_at : t -> int -> t
 val bits64 : t -> int64
 (** [bits64 g] is the next 64 uniformly random bits. *)
 
+val skip : t -> int -> unit
+(** [skip g k] advances [g] past [k] draws in O(1): afterwards [g] is where
+    [k] calls of {!bits64} would leave it. The state is a Weyl sequence
+    (each draw adds a fixed odd constant modulo 2^64), so skipping is one
+    multiply-add. {!float} and {!bool} make one such draw each, so
+    [skip g k] also stands in for [k] of them whose values would be
+    ignored. Raises [Invalid_argument] if [k < 0]. *)
+
 val float : t -> float
 (** [float g] is uniform on [\[0, 1)] with 53 bits of precision. *)
 

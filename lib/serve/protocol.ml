@@ -1,3 +1,5 @@
+module Limits = Cold_util.Limits
+
 type format = Edges | Gml | Summary
 
 type design = {
@@ -27,11 +29,6 @@ type envelope = { id : string; body : request; deadline_ms : int option }
 (* --- limits ----------------------------------------------------------------- *)
 
 let max_id_len = 64
-let max_n = 2000
-let max_count = 10_000
-let max_steps = 100_000
-let max_population = 10_000
-let max_generations = 100_000
 
 let default_design ~n ~seed =
   {
@@ -124,7 +121,7 @@ let take_req pairs key conv =
   | Some v -> conv ~key v
 
 let parse_design pairs =
-  let* n = take_req pairs "n" (int_in ~lo:2 ~hi:max_n) in
+  let* n = take_req pairs "n" (int_in ~lo:2 ~hi:Limits.max_n) in
   let* seed = take_req pairs "seed" any_int in
   let d = default_design ~n ~seed in
   let* k0 = take_or ~default:d.params.Cold.Cost.k0 pairs "k0" nonneg_float in
@@ -132,10 +129,10 @@ let parse_design pairs =
   let* k2 = take_or ~default:d.params.Cold.Cost.k2 pairs "k2" nonneg_float in
   let* k3 = take_or ~default:d.params.Cold.Cost.k3 pairs "k3" nonneg_float in
   let* generations =
-    take_or ~default:d.generations pairs "gens" (int_in ~lo:1 ~hi:max_generations)
+    take_or ~default:d.generations pairs "gens" (int_in ~lo:1 ~hi:Limits.max_generations)
   in
   let* population =
-    take_or ~default:d.population pairs "pop" (int_in ~lo:4 ~hi:max_population)
+    take_or ~default:d.population pairs "pop" (int_in ~lo:4 ~hi:Limits.max_population)
   in
   let* permutations =
     take_or ~default:d.permutations pairs "perms" (int_in ~lo:0 ~hi:1000)
@@ -182,11 +179,11 @@ let parse_body verb pairs =
     Ok (Job (Synth { design; format }))
   | "ensemble" ->
     let* design = parse_design pairs in
-    let* count = take_req pairs "count" (int_in ~lo:1 ~hi:max_count) in
+    let* count = take_req pairs "count" (int_in ~lo:1 ~hi:Limits.max_count) in
     Ok (Job (Ensemble { design; count }))
   | "survive" ->
     let* design = parse_design pairs in
-    let* steps = take_req pairs "steps" (int_in ~lo:1 ~hi:max_steps) in
+    let* steps = take_req pairs "steps" (int_in ~lo:1 ~hi:Limits.max_steps) in
     let* fseed = take_or ~default:design.seed pairs "fseed" any_int in
     let* rates = parse_rates pairs in
     Ok (Job (Survive { design; steps; fseed; rates }))

@@ -181,6 +181,83 @@ let test_crossover_gene_mix () =
       shared
   done
 
+(* --- crossover oracle ------------------------------------------------------- *)
+
+(* Random graph with each pair present with probability [p]. *)
+let random_graph n ~p rng =
+  let g = Graph.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Prng.float rng < p then Graph.add_edge g u v
+    done
+  done;
+  g
+
+let oracle_costs =
+  [
+    ("unequal", [| 3.0; 7.5; 12.25 |]);
+    ("equal", [| 5.0; 5.0; 5.0 |]);
+    ("infinity", [| infinity; 4.0; infinity |]);
+    ("all infinity", [| infinity; infinity; infinity |]);
+    ("zero", [| 0.0; 2.0; 0.0 |]);
+    ("nan", [| Float.nan; Float.nan; Float.nan |]);
+  ]
+
+let oracle_shapes =
+  [
+    ("identical", fun n rng ->
+        let g = random_graph n ~p:0.3 rng in
+        fun _ -> g);
+    ("sparse", fun n rng _ -> random_graph n ~p:(Float.min 1.0 (3.0 /. float_of_int n)) rng);
+    ("dense", fun n rng _ -> random_graph n ~p:0.9 rng);
+    ("random", fun n rng _ -> random_graph n ~p:(Prng.float rng) rng);
+  ]
+
+(* Operators.crossover against the per-pair historical crossover: every
+   case must give an equal child and leave the stream at the same state. *)
+let test_crossover_oracle () =
+  let cases = ref 0 in
+  List.iter
+    (fun n ->
+      let ctx = ctx_of (500 + n) n in
+      List.iteri
+        (fun si (shape, make) ->
+          List.iteri
+            (fun ci (costs_name, costs) ->
+              for k = 1 to 3 do
+                for rep = 0 to 2 do
+                  let seed = (((((n * 7) + si) * 11) + ci) * 5 + k) * 3 + rep in
+                  let rng = Prng.create seed in
+                  let parent = make n rng in
+                  let parents = Array.init k (fun i -> (parent i, costs.(i))) in
+                  let a = Prng.create (seed + 1) in
+                  let b = Prng.copy a in
+                  let want = Crossover_oracle.crossover ctx ~parents a in
+                  let got = Operators.crossover ctx ~parents b in
+                  let label =
+                    Printf.sprintf "n=%d %s %s k=%d rep=%d" n shape costs_name k rep
+                  in
+                  Alcotest.(check bool) (label ^ ": child") true (Graph.equal want got);
+                  Alcotest.(check int64)
+                    (label ^ ": next draw") (Prng.bits64 a) (Prng.bits64 b);
+                  incr cases
+                done
+              done)
+            oracle_costs)
+        oracle_shapes)
+    [ 2; 3; 20; 40 ];
+  Alcotest.(check int) "cases" (4 * 4 * 6 * 3 * 3) !cases
+
+let test_crossover_size_mismatch () =
+  let ctx = ctx_of 25 6 in
+  let small = (Graph.create 5, 1.0) and large = (Graph.create 6, 1.0) in
+  List.iter
+    (fun parents ->
+      Alcotest.check_raises "size mismatch"
+        (Invalid_argument "Graph.recombine: size mismatch") (fun () ->
+          ignore (Operators.crossover ctx ~parents (Prng.create 26))))
+    [ [| small; large |]; [| large; small |]; [| large; large; small |] ]
+
 let test_link_mutation_keeps_connected () =
   let ctx = ctx_of 21 10 in
   let rng = Prng.create 22 in
@@ -282,6 +359,9 @@ let () =
           Alcotest.test_case "node mutation no hubs" `Quick
             test_node_mutation_noop_without_hubs;
           Alcotest.test_case "repair" `Quick test_repair;
+          Alcotest.test_case "crossover oracle sweep" `Quick test_crossover_oracle;
+          Alcotest.test_case "crossover size mismatch" `Quick
+            test_crossover_size_mismatch;
         ] );
       ( "properties",
         [

@@ -77,6 +77,52 @@ let test_copy_independence () =
   Alcotest.(check int) "original untouched" 1 (Graph.edge_count g);
   Alcotest.(check int) "copy changed" 2 (Graph.edge_count h)
 
+(* Values taken before the fingerprint loop was rewritten: memo slots, and
+   with them hit and miss counts, must not move. *)
+let test_fingerprint_pins () =
+  let random40 () =
+    let rng = Prng.create 40 in
+    let g = Graph.create 40 in
+    for u = 0 to 39 do
+      for v = u + 1 to 39 do
+        if Prng.float rng < 0.1 then Graph.add_edge g u v
+      done
+    done;
+    g
+  in
+  List.iter
+    (fun (label, g, want) -> Alcotest.(check int64) label want (Graph.fingerprint g))
+    [
+      ("n = 0", Graph.create 0, 0xaf63bd4c8601b7dfL);
+      ("n = 1", Graph.create 1, 0x082f2207b4e88cc4L);
+      ("5-node path", Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4) ], 0x3958f0cf24b10d60L);
+      ("seeded 40-node random graph", random40 (), 0xf7ac0d1e58cde8f7L);
+    ]
+
+let test_recombine () =
+  let a = Graph.of_edges 4 [ (0, 1); (0, 2); (2, 3) ] in
+  let b = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
+  (* Ranks: {0,1}=0 {0,2}=1 {0,3}=2 {1,2}=3 {1,3}=4 {2,3}=5. *)
+  let asked = ref [] in
+  let pick rank =
+    asked := rank :: !asked;
+    if rank = 1 then 0 else 1
+  in
+  let child = Graph.recombine [| a; b |] ~pick in
+  Alcotest.(check (list int)) "pick only where parents disagree" [ 1; 3 ] (List.rev !asked);
+  Alcotest.(check (list (pair int int)))
+    "shared links and picked bits" [ (0, 1); (0, 2); (1, 2); (2, 3) ] (Graph.edges child);
+  Alcotest.(check (list int)) "degrees" [ 2; 2; 3; 1 ]
+    (Array.to_list (Graph.degree_sequence child));
+  Alcotest.(check (pair int int)) "rank index" (2, 3) (Graph.nth_edge child 3);
+  Alcotest.(check bool) "one parent is copied" true
+    (Graph.equal a (Graph.recombine [| a |] ~pick:(fun _ -> Alcotest.fail "pick")));
+  Alcotest.check_raises "size mismatch before any pick"
+    (Invalid_argument "Graph.recombine: size mismatch") (fun () ->
+      ignore (Graph.recombine [| a; Graph.create 5 |] ~pick:(fun _ -> Alcotest.fail "pick")));
+  Alcotest.check_raises "no parents" (Invalid_argument "Graph.recombine: no parents")
+    (fun () -> ignore (Graph.recombine [||] ~pick:(fun _ -> 0)))
+
 let test_equal () =
   let a = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
   let b = Graph.of_edges 3 [ (1, 2); (0, 1) ] in
@@ -564,6 +610,8 @@ let () =
           Alcotest.test_case "edge order" `Quick test_edges_order;
           Alcotest.test_case "copy" `Quick test_copy_independence;
           Alcotest.test_case "equal" `Quick test_equal;
+          Alcotest.test_case "fingerprint pins" `Quick test_fingerprint_pins;
+          Alcotest.test_case "recombine" `Quick test_recombine;
           Alcotest.test_case "complete" `Quick test_complete;
           Alcotest.test_case "remove_all_edges_of" `Quick test_remove_all_edges_of;
           Alcotest.test_case "degree sequence" `Quick test_degree_sequence;

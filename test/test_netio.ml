@@ -175,6 +175,36 @@ let test_gml_parse_errors () =
   gml_expect_failure ~line:2 "key without value" "graph [\n  node [ id ]\n]";
   gml_expect_failure ~line:2 "unexpected bracket" "graph [\n  [ id 1 ]\n]"
 
+(* A size read from the input is checked before the n²-byte graph is
+   allocated: one over the shared limit is a typed error on the line that
+   claims it, and the limit itself is accepted. *)
+let test_oversized_inputs () =
+  let max_n = Cold_util.Limits.max_n in
+  let message = function
+    | Ok _ -> Alcotest.fail "expected parse error"
+    | Error e -> Cold_netio.Parse_error.to_string e
+  in
+  Alcotest.(check string) "edge list: 13-byte header"
+    "line 1: header claims 1000000000 nodes, more than the limit of 2000"
+    (message (Edge_list.of_string "1000000000 0\n"));
+  expect_failure ~line:2 "edge list: one over" (Printf.sprintf "# c\n%d 0\n" (max_n + 1));
+  Alcotest.(check int) "edge list: at the limit" max_n
+    (Graph.node_count (ok_exn "at the limit" (Edge_list.of_string (Printf.sprintf "%d 0\n" max_n))));
+  let gml count =
+    let b = Buffer.create (16 * count) in
+    Buffer.add_string b "Creator \"test\"\ngraph [\n";
+    for i = 0 to count - 1 do
+      Buffer.add_string b (Printf.sprintf "  node [ id %d ]\n" i)
+    done;
+    Buffer.add_string b "]\n";
+    Buffer.contents b
+  in
+  Alcotest.(check string) "gml: one over"
+    "line 2: graph has 2001 nodes, more than the limit of 2000"
+    (message (Gml_parser.parse (gml (max_n + 1))));
+  Alcotest.(check int) "gml: at the limit" max_n
+    (Graph.node_count (ok_exn "gml at the limit" (Gml_parser.parse (gml max_n))))
+
 let test_gml_file_round_trip () =
   let path = Filename.temp_file "cold_test" ".gml" in
   let g = Builders.double_star 9 in
@@ -255,6 +285,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_edge_list_round_trip;
           Alcotest.test_case "comments/blanks" `Quick test_edge_list_comments_blanks;
           Alcotest.test_case "errors" `Quick test_edge_list_errors;
+          Alcotest.test_case "oversized inputs" `Quick test_oversized_inputs;
           Alcotest.test_case "files" `Quick test_edge_list_files;
         ] );
       ( "properties",

@@ -194,6 +194,56 @@ let test_fitness_cache_collision () =
       (Float.equal (e other) (cost other));
     Alcotest.(check int) "collision never reads as a hit" 0 (Fc.hits c)
 
+(* Cutting a sequence into batches must not change what find_all answers:
+   values, counts and the table afterwards equal those of find_or_compute
+   (the one-graph batch) on each graph in turn. Slots = 3 makes batches
+   evict their own reservations, and duplicates hit reserved keys. *)
+let test_fitness_cache_find_all () =
+  let module Fc = Cold.Fitness_cache in
+  let rng = Prng.create 21 in
+  let pool = Array.init 7 (fun i -> Graph.of_edges 6 [ (i mod 5, 5) ]) in
+  let graphs = Array.init 60 (fun _ -> pool.(Prng.int rng 7)) in
+  let cost g = float_of_int (fst (List.hd (Graph.edges g))) +. 0.25 in
+  let serial = Fc.create ~slots:3 in
+  let want = Array.map (fun g -> Fc.find_or_compute serial g (fun () -> cost g)) graphs in
+  let batched = Fc.create ~slots:3 in
+  let computed = ref 0 in
+  let got =
+    Array.concat
+      (List.map
+         (fun (pos, len) ->
+           Fc.find_all batched (Array.sub graphs pos len) (fun missed ->
+               computed := !computed + Array.length missed;
+               Array.map cost missed))
+         [ (0, 1); (1, 9); (10, 30); (40, 20) ])
+  in
+  Alcotest.(check bool) "values" true (Array.for_all2 Float.equal want got);
+  Alcotest.(check int) "hits" (Fc.hits serial) (Fc.hits batched);
+  Alcotest.(check int) "misses" (Fc.misses serial) (Fc.misses batched);
+  Alcotest.(check int) "computes = misses" (Fc.misses batched) !computed;
+  Alcotest.(check int) "entries" (Fc.entries serial) (Fc.entries batched);
+  Alcotest.(check bool) "some hits and some misses" true
+    (Fc.hits serial > 0 && Fc.misses serial > 0);
+  (* A failed batch leaves no pending entry behind. *)
+  let c = Fc.create ~slots:64 in
+  let g = pool.(0) in
+  Alcotest.check_raises "compute raises" Exit (fun () ->
+      ignore (Fc.find_all c [| g; g |] (fun _ -> raise Exit)));
+  Alcotest.(check int) "withdrawn" 0 (Fc.entries c);
+  Alcotest.(check bool) "recomputed after the failure" true
+    (Float.equal (cost g) (Fc.find_or_compute c g (fun () -> cost g)));
+  Alcotest.(check int) "the failed batch's miss, then a miss" 2 (Fc.misses c);
+  Alcotest.(check int) "the failed batch's duplicate" 1 (Fc.hits c);
+  (* A failed miss puts back the occupant it evicted (slots = 1: every
+     graph shares the one slot). *)
+  let c = Fc.create ~slots:1 in
+  ignore (Fc.find_or_compute c pool.(0) (fun () -> cost pool.(0)));
+  Alcotest.check_raises "collider raises" Exit (fun () ->
+      ignore (Fc.find_or_compute c pool.(1) (fun () -> raise Exit)));
+  Alcotest.(check int) "occupant kept" 1 (Fc.entries c);
+  ignore (Fc.find_or_compute c pool.(0) (fun () -> Alcotest.fail "evicted"));
+  Alcotest.(check int) "occupant still hits" 1 (Fc.hits c)
+
 (* --- GA determinism across domain counts -------------------------------------- *)
 
 let small_settings =
@@ -232,10 +282,12 @@ let test_ga_domains_deterministic () =
   let seq = ga_run ~domains:1 () in
   List.iter
     (fun domains ->
-      check_same_result
-        (Printf.sprintf "%d domains" domains)
-        seq
-        (ga_run ~domains ()))
+      let label = Printf.sprintf "%d domains" domains in
+      let r = ga_run ~domains () in
+      check_same_result label seq r;
+      (* The memo is looked up before the fan-out, so its counts are exact. *)
+      Alcotest.(check int) (label ^ ": cache hits") seq.Ga.cache_hits r.Ga.cache_hits;
+      Alcotest.(check int) (label ^ ": cache misses") seq.Ga.cache_misses r.Ga.cache_misses)
     [ 2; 4; 8 ]
 
 let test_ga_cache_neutral () =
@@ -295,6 +347,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "fitness cache" `Quick test_fitness_cache;
+          Alcotest.test_case "find_all is serial" `Quick test_fitness_cache_find_all;
           Alcotest.test_case "forced collision" `Quick
             test_fitness_cache_collision;
         ] );

@@ -102,6 +102,37 @@ let test_seed_of_string () =
   Alcotest.(check bool) "different strings differ" true
     (Prng.seed_of_string "a" <> Prng.seed_of_string "b")
 
+(* Prng.skip g k must leave g where k draws would. *)
+let test_skip () =
+  let after_draws seed k =
+    let g = Prng.create seed in
+    for _ = 1 to k do
+      ignore (Prng.bits64 g)
+    done;
+    Prng.bits64 g
+  in
+  let after_skips seed ks =
+    let g = Prng.create seed in
+    List.iter (Prng.skip g) ks;
+    Prng.bits64 g
+  in
+  Alcotest.(check int64) "k = 0 is the identity" (after_draws 31 0) (after_skips 31 [ 0 ]);
+  for k = 1 to 1000 do
+    Alcotest.(check int64)
+      (Printf.sprintf "skip %d = %d draws" k k)
+      (after_draws (32 + k) k) (after_skips (32 + k) [ k ])
+  done;
+  Alcotest.(check int64) "a large skip is the sum of smaller ones"
+    (after_skips 33 [ 1 lsl 40; 1 lsl 40; 12345 ])
+    (after_skips 33 [ (1 lsl 41) + 12345 ]);
+  (* 4·max_int + 4 = 4·(2^62 − 1) + 4 = 2^64: a full turn of the state. *)
+  Alcotest.(check int64) "64-bit wrap"
+    (after_skips 34 [])
+    (after_skips 34 [ max_int; max_int; max_int; max_int; 4 ]);
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Prng.skip: negative count") (fun () ->
+      Prng.skip (Prng.create 35) (-1))
+
 let sample_mean f n seed =
   let g = Prng.create seed in
   let sum = ref 0.0 in
@@ -273,6 +304,7 @@ let () =
           Alcotest.test_case "int covers all residues" `Quick test_int_covers_all;
           Alcotest.test_case "bool balance" `Quick test_bool_balance;
           Alcotest.test_case "seed_of_string" `Quick test_seed_of_string;
+          Alcotest.test_case "skip" `Quick test_skip;
         ] );
       ( "distributions",
         [
