@@ -9,7 +9,17 @@
     {!Shortest_path.dijkstra} and the in-place tree repair of
     [Cold_net.Incremental] settle vertices in the {e same} deterministic
     sequence, so equal-length alternative paths resolve to the same
-    predecessor either way. Any replacement heap must preserve it. *)
+    predecessor either way. Any replacement heap must preserve it.
+
+    {b Why the pop sequence is fixed by the order alone.} Priorities are
+    never NaN, so [(priority, vertex)] is a strict total order: [<] on
+    priorities first, and the vertex id only when [Float.equal] holds.
+    Dijkstra pushes a vertex again only at a strictly smaller distance, so
+    its entries are distinct pairs, and each pop takes the least pair
+    present, which is unique. Any correct min-queue under this order, fed
+    the same pushes and pops, therefore pops the same sequence. How this
+    heap sifts — a hole moved up or down in a flat loop — cannot change
+    what it pops; only the order can. *)
 
 type t
 
@@ -25,18 +35,24 @@ val clear : t -> unit
 val size : t -> int
 
 val push : t -> priority:float -> int -> unit
-(** [push h ~priority v] inserts vertex [v] with [priority]. *)
+(** [push h ~priority v] inserts vertex [v] with [priority], which must not
+    be NaN. The storage doubles when full. The entry rises from the end
+    past every parent it precedes in [(priority, vertex)] order, in
+    O(log size) moves and no allocation. *)
 
 val push_key : t -> keys:float array -> int -> unit
-(** [push_key h ~keys v] is [push h ~priority:keys.(v) v]. The priority is
-    read inside this module, so the call passes no float across a module
-    boundary and boxes nothing — the form Dijkstra uses, whose pushed
-    priority is always the vertex's just-lowered distance. *)
+(** [push_key h ~keys v] is [push h ~priority:keys.(v) v], through the same
+    sift. The priority is read inside this module, so the call passes no
+    float across a module boundary and boxes nothing — the form Dijkstra
+    uses, whose pushed priority is always the vertex's just-lowered
+    distance. *)
 
 val pop : t -> int
 (** [pop h] removes the smallest [(priority, vertex)] entry and returns its
-    vertex alone: no option, tuple or boxed float is allocated. Raises
-    [Invalid_argument] on an empty heap. *)
+    vertex alone: no option, tuple or boxed float is allocated. The last
+    entry sinks from the root past every smaller child, the smaller of two
+    children chosen by the same order. Raises [Invalid_argument] on an
+    empty heap. *)
 
 val pop_min : t -> (float * int) option
 (** [pop_min h] removes and returns the entry with the smallest priority

@@ -108,7 +108,20 @@ let edge_lengths_of_matrix sc (csr : Graph.Csr.t) matrix =
    whole acceptance test, and [Heap.pop] need not return the priority.
    Neighbours are relaxed in CSR order, which is ascending, and an equal
    distance hands the vertex to the smaller predecessor. Nothing here
-   allocates. *)
+   allocates.
+
+   The relaxation reads [settled.(v)] only on a tie. Lengths are
+   non-negative and never NaN, and pops come in ascending priority, so
+   when [u] settles every settled [v] has dist v <= d <= d +. l: IEEE
+   addition of a non-negative number never rounds below [d]. [nd < dv] is
+   therefore already false for a settled [v], and only an exact tie (a
+   zero-length link, or a sum that rounds onto [dv]) can reach the branch
+   that must not move a settled vertex's predecessor.
+
+   Once [nd < dv] has failed, [nd <= dv] holds exactly when the two are
+   equal (neither is NaN), so it is the tie test: [Float.equal] gives the
+   same answer here but compiles to four comparisons, and almost every arc
+   of a dense graph runs this test. *)
 let settle sc (csr : Graph.Csr.t) ~lengths ~source =
   let n = sc.n in
   if source < 0 || source >= n then invalid_arg "Shortest_path.settle";
@@ -130,17 +143,15 @@ let settle sc (csr : Graph.Csr.t) ~lengths ~source =
       incr count;
       let d = dist.(u) in
       for k = offsets.(u) to offsets.(u + 1) - 1 do
-        let v = Array.unsafe_get targets k in
-        if not settled.(v) then begin
-          let nd = d +. lengths.(k) in
-          if nd < dist.(v) then begin
-            dist.(v) <- nd;
-            pred.(v) <- u;
-            Heap.push_key heap ~keys:dist v
-          end
-          else if Float.equal nd dist.(v) && pred.(v) >= 0 && u < pred.(v) then
-            pred.(v) <- u
+        let v = targets.(k) in
+        let nd = d +. lengths.(k) and dv = dist.(v) in
+        if nd < dv then begin
+          dist.(v) <- nd;
+          pred.(v) <- u;
+          Heap.push_key heap ~keys:dist v
         end
+        else if nd <= dv && (not settled.(v)) && pred.(v) >= 0 && u < pred.(v)
+        then pred.(v) <- u
       done
     end
   done;

@@ -59,7 +59,8 @@ val settle :
 (** [settle sc csr ~lengths ~source] runs Dijkstra from [source] over [csr]
     with per-slot [lengths] (see {!edge_lengths}) and returns the number of
     settled vertices; the tree is in {!settled_tree}. The floats and the
-    settle order are exactly {!dijkstra}'s. *)
+    settle order are exactly {!dijkstra}'s, and so is the precondition:
+    every length non-negative and never NaN. *)
 
 val settled_tree : scratch -> tree
 (** The scratch's result buffers as a tree: [dist] and [pred] as {!dijkstra}
@@ -79,8 +80,11 @@ val dijkstra :
   source:int ->
   tree
 (** [dijkstra g ~length ~source] computes the shortest-path tree. [length u v]
-    must be the positive length of edge [{u,v}]; it is queried only for
-    existing edges.
+    must be the length of edge [{u,v}], non-negative and never NaN; it is
+    queried only for existing edges. Zero is allowed (co-located PoPs). The
+    relaxation relies on this: it skips the settled test unless the new
+    distance exactly ties the old one, which is sound only because adding a
+    non-negative length can never bring a distance below a settled one.
 
     [?adj] accepts the graph's {!Graph.adjacency_arrays} and [?csr] a
     {!Graph.Csr} view ([csr] wins when both are given): callers running

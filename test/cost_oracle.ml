@@ -1,17 +1,18 @@
 (* The evaluation pipeline as it stood before routing became one
-   allocation-free per-source step, kept verbatim as the bitwise reference
-   for Cost.evaluate, Cost.evaluate_breakdown and Routing.route: a fresh
-   Dijkstra tree per source from the lazy-deletion heap, every tree first,
+   allocation-free per-source step, kept as the bitwise reference for
+   Cost.evaluate, Cost.evaluate_breakdown and Routing.route: a fresh
+   Dijkstra tree per source from a lazy-deletion queue, every tree first,
    then each source's accumulation, then the fused cost fold over
    Graph.iter_edges. The greedy heuristics below are the same historical
    code with every trial evaluation handed to a caller's function, so a
    test can hold each trial graph of a seed set against both paths.
 
    Nothing here is fast or shared with the library's routing code; that is
-   the point. *)
+   the point. Even the queue is its own: a [Set] of (priority, vertex)
+   pairs in the strict order the library's heap promises, so a heap that
+   breaks that order cannot hide behind a reference built on it. *)
 
 module Graph = Cold_graph.Graph
-module Heap = Cold_graph.Heap
 module Mst = Cold_graph.Mst
 module Shortest_path = Cold_graph.Shortest_path
 module Dist = Cold_prng.Dist
@@ -23,31 +24,41 @@ exception Disconnected
 
 (* --- routing ------------------------------------------------------------------ *)
 
+(* The lazy-deletion queue: (priority, vertex) pairs, smallest priority
+   first and the smaller vertex on an exact tie. *)
+module Frontier = Set.Make (struct
+  type t = float * int
+
+  let compare (p, v) (q, w) =
+    match Float.compare p q with 0 -> Int.compare v w | c -> c
+end)
+
 let dijkstra (csr : Graph.Csr.t) ~n ~length ~source =
   let settled = Array.make n false in
   let order = Array.make n (-1) in
-  let heap = Heap.create ~capacity:(2 * n) in
+  let frontier = ref Frontier.empty in
   let dist = Array.make n infinity in
   let pred = Array.make n (-1) in
   let count = ref 0 in
   dist.(source) <- 0.0;
-  Heap.push heap ~priority:0.0 source;
+  frontier := Frontier.add (0.0, source) !frontier;
   let relax u d v =
     if not settled.(v) then begin
       let nd = d +. length u v in
       if nd < dist.(v) then begin
         dist.(v) <- nd;
         pred.(v) <- u;
-        Heap.push heap ~priority:nd v
+        frontier := Frontier.add (nd, v) !frontier
       end
       else if Float.equal nd dist.(v) && pred.(v) >= 0 && u < pred.(v) then
         pred.(v) <- u
     end
   in
   let rec drain () =
-    match Heap.pop_min heap with
+    match Frontier.min_elt_opt !frontier with
     | None -> ()
-    | Some (d, u) ->
+    | Some ((d, u) as top) ->
+      frontier := Frontier.remove top !frontier;
       if not settled.(u) && d <= dist.(u) then begin
         settled.(u) <- true;
         order.(!count) <- u;

@@ -286,6 +286,29 @@ let test_oracle_colocated () =
         (oracle_graphs ctx (Prng.create (400 + n))))
     oracle_sizes
 
+(* Lattice PoPs: unit-spaced integer grid points, so many distinct paths
+   have exactly equal lengths built from positive links (1 + 1 = 2 exactly),
+   and the tie branch of the relaxation and the heap's vertex tie-break
+   decide trees that random contexts, which produce no exact ties, never
+   reach. *)
+let lattice_context ~cols ~rows seed =
+  let rng = Prng.create seed in
+  let n = cols * rows in
+  Context.of_points_and_populations ~traffic_scale:0.4
+    (Array.init n (fun i ->
+         Point.make (float_of_int (i mod cols)) (float_of_int (i / cols))))
+    (Array.init n (fun _ -> 1.0 +. (30.0 *. Prng.float rng)))
+
+let test_oracle_lattice () =
+  List.iter
+    (fun (cols, rows) ->
+      let n = cols * rows in
+      let ctx = lattice_context ~cols ~rows (1000 + n) in
+      List.iter
+        (fun (name, g) -> check_graph (Printf.sprintf "lattice n=%d %s" n name) ctx g)
+        (oracle_graphs ctx (Prng.create (1100 + n))))
+    [ (5, 4); (10, 6) ]
+
 (* A PoP with no population carries no demand, so cutting it off leaves
    the network feasible: every path must still agree with the reference,
    including the partially settled trees of the other sources. *)
@@ -437,10 +460,10 @@ let test_oracle_domains () =
 (* A full evaluation routes in the calling domain's scratch and folds in a
    plain loop, so once the scratch is warm it allocates only its result:
    a few words, the same at every n. *)
-let test_evaluate_allocation () =
+let check_allocation label graph =
   let words n =
     let ctx = random_context n (900 + n) in
-    let g = Graph.of_edges n (List.init (n - 1) (fun i -> (0, i + 1))) in
+    let g = graph n in
     let p = Cost.params () in
     ignore (Cost.evaluate p ctx g);
     let before = Gc.minor_words () in
@@ -448,11 +471,25 @@ let test_evaluate_allocation () =
     Gc.minor_words () -. before
   in
   let w20 = words 20 and w60 = words 60 in
-  Alcotest.(check bool) (Printf.sprintf "n=20: %.0f words < 100" w20) true (w20 < 100.0);
-  Alcotest.(check bool) (Printf.sprintf "n=60: %.0f words < 100" w60) true (w60 < 100.0);
   Alcotest.(check bool)
-    (Printf.sprintf "no growth with n (%.0f then %.0f)" w20 w60)
+    (Printf.sprintf "%s n=20: %.0f words < 100" label w20) true (w20 < 100.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s n=60: %.0f words < 100" label w60) true (w60 < 100.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: no growth with n (%.0f then %.0f)" label w20 w60)
     true (w60 <= w20)
+
+let test_evaluate_allocation () =
+  check_allocation "star" (fun n ->
+      Graph.of_edges n (List.init (n - 1) (fun i -> (0, i + 1))))
+
+(* The clique every initial population holds has n(n - 1) CSR slots, far
+   more than the scratch starts with, so the warm-up grows the view and the
+   length table, and the measured run must then fit in them. Each source
+   pushes its n - 1 neighbours through the sift-up. Euclidean lengths make
+   each direct link a shortest path, so the heap stays inside its initial
+   2n entries; test_graph's heap sweep is what makes it grow. *)
+let test_clique_allocation () = check_allocation "clique" Graph.complete
 
 let () =
   Alcotest.run "cold_cost"
@@ -482,11 +519,15 @@ let () =
         [
           Alcotest.test_case "random graphs" `Quick test_oracle_random;
           Alcotest.test_case "colocated PoPs" `Quick test_oracle_colocated;
+          Alcotest.test_case "lattice PoPs" `Quick test_oracle_lattice;
           Alcotest.test_case "zero population" `Quick test_oracle_zero_population;
           Alcotest.test_case "seed set trials" `Quick test_oracle_seed_set_trials;
           Alcotest.test_case "seeding sweep" `Quick test_oracle_seeding_sweep;
           Alcotest.test_case "domains" `Quick test_oracle_domains;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "evaluate" `Quick test_evaluate_allocation ] );
+        [
+          Alcotest.test_case "evaluate" `Quick test_evaluate_allocation;
+          Alcotest.test_case "clique" `Quick test_clique_allocation;
+        ] );
     ]

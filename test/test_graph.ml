@@ -184,6 +184,45 @@ let test_heap_empty () =
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Alcotest.(check (option (pair (float 0.0) int))) "pop none" None (Heap.pop_min h)
 
+(* Random push/pop sequences held to an independent sort: quarter-integer
+   priorities give exact ties, a few vertex ids repeat (stale entries), and
+   capacity 1 makes the heap grow. Every pop, through [pop_min] or [pop],
+   must be the head of the live entries sorted by (priority, vertex). *)
+let test_heap_against_sort () =
+  let order (p, v) (q, w) =
+    match Float.compare p q with 0 -> Int.compare v w | c -> c
+  in
+  for seed = 1 to 200 do
+    let rng = Prng.create seed in
+    let h = Heap.create ~capacity:1 in
+    let live = ref [] and pops = ref 0 in
+    let check_pop () =
+      match List.sort order !live with
+      | [] -> Alcotest.fail "no live entry"
+      | ((_, v) as top) :: rest ->
+        live := rest;
+        incr pops;
+        let label = Printf.sprintf "seed %d pop %d" seed !pops in
+        if Prng.bool rng then
+          Alcotest.(check (option (pair (float 0.0) int))) label (Some top)
+            (Heap.pop_min h)
+        else Alcotest.(check int) label v (Heap.pop h)
+    in
+    for _ = 1 to 300 do
+      (match !live with
+       | _ :: _ when Prng.int rng 3 = 0 -> check_pop ()
+       | _ ->
+         let p = float_of_int (Prng.int rng 24) /. 4.0 and v = Prng.int rng 12 in
+         Heap.push h ~priority:p v;
+         live := (p, v) :: !live);
+      Alcotest.(check int) "size" (List.length !live) (Heap.size h)
+    done;
+    while not (Heap.is_empty h) do
+      check_pop ()
+    done;
+    Alcotest.(check int) (Printf.sprintf "seed %d drained" seed) 0 (List.length !live)
+  done
+
 (* --- Union-find ----------------------------------------------------------- *)
 
 let test_union_find () =
@@ -621,6 +660,7 @@ let () =
           Alcotest.test_case "sorted" `Quick test_heap_sorted;
           Alcotest.test_case "tie break" `Quick test_heap_tie_break;
           Alcotest.test_case "empty" `Quick test_heap_empty;
+          Alcotest.test_case "against a sort" `Quick test_heap_against_sort;
         ] );
       ("union_find", [ Alcotest.test_case "basic" `Quick test_union_find ]);
       ( "traversal",
