@@ -18,17 +18,24 @@ module Limits = Cold_util.Limits
 (* Converters that reject a value outside the library's own bounds as a
    usage error: cmdliner then exits 124 naming the option, instead of the
    library raising Invalid_argument mid-run or running out of memory. *)
-let at_least conv pp min =
+let int_at_least min =
   let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when v >= min -> Ok v
-    | Ok _ -> Error (`Msg (Format.asprintf "must be at least %a" pp min))
-    | Error _ as e -> e
+    match Arg.conv_parser Arg.int s with
+    | Ok v when v < min -> Error (`Msg (Printf.sprintf "must be at least %d" min))
+    | r -> r
   in
-  Arg.conv (parse, Arg.conv_printer conv)
+  Arg.conv (parse, Arg.conv_printer Arg.int)
 
-let int_at_least = at_least Arg.int Format.pp_print_int
-let float_at_least = at_least Arg.float (fun ppf -> Format.fprintf ppf "%g")
+(* A NaN passes no bound and an infinity prices every design alike, so
+   float options must also be finite. *)
+let float_at_least min =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when not (Float.is_finite v) -> Error (`Msg "must be finite")
+    | Ok v when v < min -> Error (`Msg (Printf.sprintf "must be at least %g" min))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
 
 (* The upper bounds are the shared ones of Cold_util.Limits. *)
 let int_between min max =

@@ -18,6 +18,9 @@ type breakdown = {
 let params ?(k0 = 10.0) ?(k1 = 1.0) ?(k2 = 1e-4) ?(k3 = 0.0) () =
   if k0 < 0.0 || k1 < 0.0 || k2 < 0.0 || k3 < 0.0 then
     invalid_arg "Cost.params: costs must be non-negative";
+  if not (Float.is_finite k0 && Float.is_finite k1 && Float.is_finite k2
+          && Float.is_finite k3)
+  then invalid_arg "Cost.params: costs must be finite";
   { k0; k1; k2; k3 }
 
 let infeasible =

@@ -37,7 +37,8 @@ type breakdown = {
 
 val params : ?k0:float -> ?k1:float -> ?k2:float -> ?k3:float -> unit -> params
 (** Defaults: k0 = 10, k1 = 1, k2 = 1e-4, k3 = 0 — the paper's §6 baseline.
-    Raises [Invalid_argument] on negative values. *)
+    Raises [Invalid_argument] on negative values, NaN or infinity: an
+    infinite cost prices every design alike. *)
 
 val evaluate : params -> Cold_context.Context.t -> Cold_graph.Graph.t -> float
 (** [evaluate p ctx g] is the total cost; [infinity] if [g] is disconnected

@@ -8,6 +8,7 @@ type scratch = {
   n : int;
   out : tree;
   settled : bool array;
+  no_need : int array;
   heap : Heap.t;
   mutable view : Graph.Csr.t;
   mutable lengths : float array;
@@ -23,6 +24,7 @@ let make_scratch n =
         order = Array.make n (-1);
       };
     settled = Array.make n false;
+    no_need = Array.make n 0;
     heap = Heap.create ~capacity:(2 * max n 1);
     view = { Graph.Csr.offsets = Array.make (n + 1) 0; targets = [| 0 |] };
     lengths = Array.make (2 * max n 1) 0.0;
@@ -121,10 +123,14 @@ let edge_lengths_of_matrix sc (csr : Graph.Csr.t) matrix =
    Once [nd < dv] has failed, [nd <= dv] holds exactly when the two are
    equal (neither is NaN), so it is the tie test: [Float.equal] gives the
    same answer here but compiles to four comparisons, and almost every arc
-   of a dense graph runs this test. *)
-let settle sc (csr : Graph.Csr.t) ~lengths ~source =
+   of a dense graph runs this test.
+
+   The early stop ends the loop between pops, so everything settled up to
+   then is exactly what a full run settles first. *)
+let settle_until sc (csr : Graph.Csr.t) ~lengths ~source ~need ~target =
   let n = sc.n in
   if source < 0 || source >= n then invalid_arg "Shortest_path.settle";
+  if Array.length need < n then invalid_arg "Shortest_path.settle_until";
   let dist = sc.out.dist and pred = sc.out.pred and order = sc.out.order in
   let settled = sc.settled and heap = sc.heap in
   let offsets = csr.offsets and targets = csr.targets in
@@ -134,13 +140,14 @@ let settle sc (csr : Graph.Csr.t) ~lengths ~source =
   Heap.clear heap;
   dist.(source) <- 0.0;
   Heap.push_key heap ~keys:dist source;
-  let count = ref 0 in
-  while not (Heap.is_empty heap) do
+  let count = ref 0 and reached = ref 0 in
+  while !reached < target && not (Heap.is_empty heap) do
     let u = Heap.pop heap in
     if not settled.(u) then begin
       settled.(u) <- true;
       order.(!count) <- u;
       incr count;
+      reached := !reached + need.(u);
       let d = dist.(u) in
       for k = offsets.(u) to offsets.(u + 1) - 1 do
         let v = targets.(k) in
@@ -156,6 +163,10 @@ let settle sc (csr : Graph.Csr.t) ~lengths ~source =
     end
   done;
   !count
+
+(* Every need is 0, so the sum never reaches the target. *)
+let settle sc csr ~lengths ~source =
+  settle_until sc csr ~lengths ~source ~need:sc.no_need ~target:1
 
 let settled_tree sc = sc.out
 

@@ -19,9 +19,11 @@ type tree = {
     One Dijkstra run that allocates nothing: it writes distances,
     predecessors and settle order into the calling domain's {!scratch},
     reading link lengths from a float array laid out like the CSR view's
-    [targets]. {!dijkstra} is this step plus a copy-out, and full routing
-    ([Cold_net.Routing]) runs it once per source, so every shortest-path
-    tree in the library comes from the same code. *)
+    [targets]. {!dijkstra} is this step plus a copy-out, and routing
+    ([Cold_net.Routing]) runs it once per source, over the whole view for
+    trees and with {!settle_until}'s early stop over a view without leaves
+    for cost, so every shortest-path tree in the library comes from the
+    same loop. *)
 
 type scratch
 (** One domain's buffers: distances, predecessors and settle order, the
@@ -61,6 +63,21 @@ val settle :
     settled vertices; the tree is in {!settled_tree}. The floats and the
     settle order are exactly {!dijkstra}'s, and so is the precondition:
     every length non-negative and never NaN. *)
+
+val settle_until :
+  scratch ->
+  Graph.Csr.t ->
+  lengths:float array ->
+  source:int ->
+  need:int array ->
+  target:int ->
+  int
+(** [settle_until sc csr ~lengths ~source ~need ~target] is {!settle} with
+    an early stop: it adds [need.(u)] (length >= n) for every vertex [u] it
+    settles and stops once the sum reaches [target]. What it has settled
+    by then, distances, predecessors and order prefix, is exactly what
+    {!settle} settles first; the distances and predecessors of the other
+    vertices are partial. {!settle} is this loop with nothing to reach. *)
 
 val settled_tree : scratch -> tree
 (** The scratch's result buffers as a tree: [dist] and [pred] as {!dijkstra}

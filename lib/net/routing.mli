@@ -38,9 +38,10 @@ val route :
     per-link load distribution differs — so optimization under single-path
     routing remains valid and ECMP is an evaluation-time choice.
 
-    It runs the same per-source step as {!route_loads} and copies each tree
-    and the load matrix out of the calling domain's scratch, so the result
-    shares nothing with it. *)
+    Every source settles the whole graph, so every tree is complete, and
+    the single-path loads are {!route_loads}' bit for bit. Trees and the
+    load matrix are copied out of the calling domain's scratch, so the
+    result shares nothing with it. *)
 
 val route_loads :
   Cold_graph.Shortest_path.scratch ->
@@ -55,7 +56,32 @@ val route_loads :
     calling domain's scratch) and accumulates into the domain's own load
     matrix, which is returned. It allocates nothing, and the matrix is
     valid only until the next [route_loads] on this domain. Raises
-    {!Disconnected} like {!route}. *)
+    {!Disconnected} exactly when {!route} does, and its matrix is
+    {!route}'s bit for bit.
+
+    It settles only what it must. An {e attached leaf} is a PoP of degree
+    1 whose one neighbour, its hub, has degree ≥ 2. Each source settles a
+    folded view without attached leaves (a leaf's own row stays, so a leaf
+    can be a source), and each leaf of a settled hub takes dist hub +. ℓ
+    and the hub as predecessor. Source [s] stops once every PoP above [s]
+    is reached, since pair [{s, t}] is routed only in the tree of
+    [min s t]; source n − 1 routes nothing. The floats do not move:
+
+    - a settled leaf relaxes nothing (its one arc leads back to its hub,
+      settled first, so [nd < dv] fails and the tie branch needs an
+      unsettled target), so without leaves every other PoP pops in the
+      same sequence with the same distance and predecessor;
+    - by the time a vertex settles, all its children hold heap entries at
+      their final priorities, and none pops before it, so its children,
+      leaves included, settle in ascending (distance, id) order;
+    - each load entry takes one add per source, so only the order of the
+      adds into each subtree matters, and the accumulation merges a hub's
+      leaves into its core children in that order.
+
+    Each pair is checked for routability once, at its smaller endpoint,
+    against its pair demand: reachability is symmetric, and the pair
+    demand is positive exactly when either direction is, which is the
+    verdict {!route}'s per-source check reaches. *)
 
 (** {2 Building blocks}
 

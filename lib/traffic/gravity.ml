@@ -21,11 +21,11 @@ let demand tm s d =
 
 let pair_demand tm u v = demand tm u v +. demand tm v u
 
-let pair_demand_row tm s row =
+let pair_demand_above tm s row =
   let n = size tm in
   if s < 0 || s >= n || Array.length row < n then
-    invalid_arg "Gravity.pair_demand_row";
-  for d = 0 to n - 1 do
+    invalid_arg "Gravity.pair_demand_above";
+  for d = s + 1 to n - 1 do
     row.(d) <- unchecked_demand tm s d +. unchecked_demand tm d s
   done
 

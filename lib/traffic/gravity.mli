@@ -24,11 +24,13 @@ val pair_demand : t -> int -> int -> float
 (** [pair_demand tm u v] = demand u→v + demand v→u: the undirected load if
     the pair were directly linked. *)
 
-val pair_demand_row : t -> int -> float array -> unit
-(** [pair_demand_row tm s row] writes [pair_demand tm s d] into [row.(d)]
-    for every [d], bit for bit, without allocating — the form routing reads
-    a source's demands in. Raises [Invalid_argument] if [s] is out of range
-    or [row] is shorter than {!size}. *)
+val pair_demand_above : t -> int -> float array -> unit
+(** [pair_demand_above tm s row] writes [pair_demand tm s d] into [row.(d)]
+    for every [d > s], bit for bit, without allocating, and leaves the rest
+    of [row] alone. Routing counts each pair once, in the tree of its
+    smaller endpoint, so these are the demands source [s] routes. Raises
+    [Invalid_argument] if [s] is out of range or [row] is shorter than
+    {!size}. *)
 
 val total : t -> float
 (** Sum of all demands. *)

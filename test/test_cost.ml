@@ -25,7 +25,18 @@ let test_params_defaults () =
 let test_params_invalid () =
   Alcotest.check_raises "negative cost"
     (Invalid_argument "Cost.params: costs must be non-negative") (fun () ->
-      ignore (Cost.params ~k2:(-1.0) ()))
+      ignore (Cost.params ~k2:(-1.0) ()));
+  List.iter
+    (fun (label, params) ->
+      Alcotest.check_raises label
+        (Invalid_argument "Cost.params: costs must be finite") (fun () ->
+          ignore (params ())))
+    [
+      ("infinite k0", fun () -> Cost.params ~k0:infinity ());
+      ("NaN k1", fun () -> Cost.params ~k1:Float.nan ());
+      ("infinite k2", fun () -> Cost.params ~k2:infinity ());
+      ("NaN k3", fun () -> Cost.params ~k3:Float.nan ());
+    ]
 
 let test_hand_computed () =
   (* Path on the line context. Loads: (0,1)=10, (1,2)=18 (see test_net).
@@ -152,18 +163,30 @@ let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let oracle_params = Cost.params ~k2:3e-4 ~k3:0.5 ()
 
 (* What the library computes for one graph: the cost, the breakdown's
-   total, and the single-path and ECMP routings (None when disconnected). *)
+   total, the tree-less load matrix of Routing.route_loads, and the
+   single-path and ECMP routings (None when disconnected). *)
 type outcome = {
   cost : float;
   breakdown_total : float;
+  loads : float array option;
   routes : (float array * Shortest_path.tree array) option list;
 }
+
+let tree_less_loads ctx g =
+  let n = Context.n ctx in
+  let sp = Shortest_path.scratch ~n in
+  let csr = Shortest_path.view sp g in
+  let lengths = Shortest_path.edge_lengths_of_matrix sp csr (Context.lengths ctx) in
+  match Routing.route_loads sp csr ~lengths ~tm:ctx.Context.tm with
+  | exception Routing.Disconnected -> None
+  | m -> Some (Array.copy m)
 
 let library_outcome ctx g =
   let length u v = Context.distance ctx u v and tm = ctx.Context.tm in
   {
     cost = Cost.evaluate oracle_params ctx g;
     breakdown_total = (Cost.evaluate_breakdown oracle_params ctx g).Cost.total;
+    loads = tree_less_loads ctx g;
     routes =
       List.map
         (fun multipath ->
@@ -176,16 +199,19 @@ let library_outcome ctx g =
 let oracle_outcome ctx g =
   let length u v = Context.distance ctx u v and tm = ctx.Context.tm in
   let total = (Cost_oracle.breakdown oracle_params ctx g).Cost.total in
+  let routes =
+    List.map
+      (fun multipath ->
+        match Cost_oracle.route ~multipath g ~length ~tm with
+        | exception Cost_oracle.Disconnected -> None
+        | r -> Some r)
+      [ false; true ]
+  in
   {
     cost = total;
     breakdown_total = total;
-    routes =
-      List.map
-        (fun multipath ->
-          match Cost_oracle.route ~multipath g ~length ~tm with
-          | exception Cost_oracle.Disconnected -> None
-          | r -> Some r)
-        [ false; true ];
+    loads = Option.map fst (List.hd routes);
+    routes;
   }
 
 let check_outcome label ~(want : outcome) (got : outcome) =
@@ -194,6 +220,12 @@ let check_outcome label ~(want : outcome) (got : outcome) =
   if not (bits_equal got.breakdown_total want.breakdown_total) then
     Alcotest.failf "%s: evaluate_breakdown total %h, reference %h" label
       got.breakdown_total want.breakdown_total;
+  (match (got.loads, want.loads) with
+   | (None, None) -> ()
+   | (Some gm, Some wm) ->
+     if not (Array.for_all2 bits_equal gm wm) then
+       Alcotest.failf "%s: Routing.route_loads loads differ" label
+   | _ -> Alcotest.failf "%s: Routing.route_loads feasibility differs" label);
   List.iter2
     (fun got want ->
       match (got, want) with
@@ -223,9 +255,39 @@ let erdos_renyi rng n ~p =
   done;
   g
 
+(* Seeding's trial layout: [hubs] joined by [links], every other PoP hung
+   as a leaf on its nearest hub. Most PoPs are leaves, so the tree-less
+   step folds them, and both leaves and hubs act as sources. *)
+let hub_and_spoke ctx hubs links =
+  let n = Context.n ctx in
+  let g = Graph.of_edges n links in
+  let is_hub = Array.make n false in
+  List.iter (fun h -> is_hub.(h) <- true) hubs;
+  Cost_oracle.attach_leaves ctx g is_hub;
+  g
+
+(* One hub mid-range (leaves on both sides of it), two hubs at the ends,
+   and about n / 5 hubs on a ring with a chord, so some pairs have two
+   hub paths and some hubs forward traffic for others. *)
+let hub_families ctx =
+  let n = Context.n ctx in
+  let k = max 3 (n / 5) in
+  let ring = List.init k (fun i -> i * n / k) in
+  let links =
+    List.mapi (fun i h -> (h, List.nth ring ((i + 1) mod k))) ring
+    @ [ (List.nth ring 0, List.nth ring (k / 2)) ]
+  in
+  let links = List.filter (fun (a, b) -> a <> b) links in
+  [
+    ("one hub", hub_and_spoke ctx [ n / 2 ] []);
+    ("two hubs", hub_and_spoke ctx [ 0; n - 1 ] [ (0, n - 1) ]);
+    ("hub ring", hub_and_spoke ctx (List.sort_uniq Int.compare ring) links);
+  ]
+
 (* ER graphs at three densities (the sparse ones are often disconnected,
    pricing at infinity), a spanning tree plus chords, and two disconnected
-   graphs: one without links, one split in half. *)
+   graphs: one without links, one split in half, and the hub-and-spoke
+   families. *)
 let oracle_graphs ctx rng =
   let n = Context.n ctx in
   let mst = Heuristics.mst_topology ctx in
@@ -248,6 +310,7 @@ let oracle_graphs ctx rng =
     ("empty", Graph.create n);
     ("halves", halves);
   ]
+  @ hub_families ctx
 
 let oracle_sizes = [ 2; 3; 20; 60 ]
 
@@ -312,11 +375,24 @@ let test_oracle_lattice () =
 (* A PoP with no population carries no demand, so cutting it off leaves
    the network feasible: every path must still agree with the reference,
    including the partially settled trees of the other sources. *)
-let zero_population_context n seed =
+let zero_population_context ?zeros n seed =
   let base = random_context n seed in
   let pops = Gravity.populations base.Context.tm in
-  pops.(n - 1) <- 0.0;
+  List.iter (fun v -> pops.(v) <- 0.0) (Option.value zeros ~default:[ n - 1 ]);
   Context.of_points_and_populations ~traffic_scale:0.4 base.Context.points pops
+
+(* A star on [members] around [hub]; every other PoP is cut off. *)
+let star_on n hub members =
+  Graph.of_edges n (List.filter_map (fun v -> if v = hub then None else Some (hub, v)) members)
+
+(* Demand s -> d is (scale · pop s) · pop d, so with a tiny scale and
+   pop 0 the product underflows to 0 from PoP 0's side while every other
+   PoP's demand to 0 stays positive: only a check that reads both
+   directions sees that cutting PoP 0 off strands traffic. *)
+let one_sided_context n seed =
+  let base = random_context n seed in
+  let pops = Array.init n (fun v -> if v = 0 then 1e-200 else 1e200) in
+  Context.of_points_and_populations ~traffic_scale:1e-200 base.Context.points pops
 
 let test_oracle_zero_population () =
   List.iter
@@ -330,8 +406,69 @@ let test_oracle_zero_population () =
         (Float.is_finite (Cost.evaluate oracle_params ctx g));
       check_graph (Printf.sprintf "zero population n=%d" n) ctx g;
       Graph.add_edge g 0 lonely;
-      check_graph (Printf.sprintf "zero population reattached n=%d" n) ctx g)
+      check_graph (Printf.sprintf "zero population reattached n=%d" n) ctx g;
+      (* Split graphs whose only cut-off PoP is 0 or n - 1 (the source
+         that routes nothing), with and without demand, and one whose
+         split-off part is an isolated edge. *)
+      let all = List.init n Fun.id in
+      let cut_first = star_on n (n / 2) (List.tl all) in
+      let cut_last = star_on n (n / 2) (List.filter (fun v -> v <> n - 1) all) in
+      let edge_apart =
+        let g = star_on n 0 (List.filter (fun v -> v < n - 2) all) in
+        Graph.add_edge g (n - 2) (n - 1);
+        g
+      in
+      let positive = random_context n (510 + n) in
+      List.iter
+        (fun (label, ctx, g) ->
+          check_graph (Printf.sprintf "n=%d %s" n label) ctx g)
+        [
+          ("cut-off 0, no demand", zero_population_context ~zeros:[ 0 ] n (520 + n), cut_first);
+          ("cut-off 0, demand", positive, cut_first);
+          ("cut-off n-1, no demand", ctx, cut_last);
+          ("cut-off n-1, demand", positive, cut_last);
+          ("isolated edge, no demand",
+           zero_population_context ~zeros:[ n - 2; n - 1 ] n (530 + n), edge_apart);
+          ("isolated edge, demand", positive, edge_apart);
+          ("isolated edge, half demand", ctx, edge_apart);
+        ];
+      let one_sided = one_sided_context n (540 + n) in
+      let tm = one_sided.Context.tm in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d demand 0 -> 1 underflows, 1 -> 0 does not" n)
+        true
+        (Gravity.demand tm 0 1 = 0.0 && Gravity.demand tm 1 0 > 0.0);
+      check_graph (Printf.sprintf "n=%d one-sided demand, 0 cut off" n) one_sided cut_first;
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d one-sided demand is infeasible" n)
+        true
+        (Float.equal (Cost.evaluate oracle_params one_sided cut_first) infinity))
     oracle_sizes
+
+(* Two leaves of one hub whose access lengths differ by less than an ulp
+   of their distance from source 0, 1000 units away, so both sums round
+   to 1001 and the id, not the length, orders them; the longer leaf has
+   the smaller id. The hub's subtree takes three adds (a farther leaf
+   first), and the populations make the two orders of the last two give
+   different bits. *)
+let test_oracle_rounding_tie () =
+  let tiny = 1.0 +. epsilon_float in
+  let points =
+    [| Point.make (-1000.0) 0.0; Point.make 0.0 0.0; Point.make tiny 0.0;
+       Point.make 1.0 0.0; Point.make 0.0 5.0 |]
+  in
+  let ctx =
+    Context.of_points_and_populations ~traffic_scale:1.0 points
+      [| 0.5; 0.0; 0.3; 0.1; 0.2 |]
+  in
+  let d = Context.distance ctx in
+  Alcotest.(check bool) "lengths differ" true (d 1 2 > d 1 3);
+  Alcotest.(check bool) "sums tie" true (Float.equal (d 0 1 +. d 1 2) (d 0 1 +. d 1 3));
+  Alcotest.(check bool) "orders differ" false (bits_equal ((0.2 +. 0.1) +. 0.3) ((0.2 +. 0.3) +. 0.1));
+  let g = Graph.of_edges 5 [ (0, 1); (1, 2); (1, 3); (1, 4) ] in
+  check_graph "rounding tie" ctx g;
+  Graph.add_edge g 0 4;
+  check_graph "rounding tie, hub with a core child" ctx g
 
 (* Every trial graph a seed set prices, each held against the reference
    as the historical heuristics reach it, and the seed set itself against
@@ -481,7 +618,15 @@ let check_allocation label graph =
 
 let test_evaluate_allocation () =
   check_allocation "star" (fun n ->
-      Graph.of_edges n (List.init (n - 1) (fun i -> (0, i + 1))))
+      Graph.of_edges n (List.init (n - 1) (fun i -> (0, i + 1))));
+  (* n / 4 hubs on a path, every other PoP a leaf of one of them: 5 hubs
+     at n = 20, 15 at n = 60. *)
+  check_allocation "hubs" (fun n ->
+      let k = n / 4 in
+      Graph.of_edges n
+        (List.init (n - 1) (fun v ->
+             let v = v + 1 in
+             if v < k then (v - 1, v) else (v mod k, v))))
 
 (* The clique every initial population holds has n(n - 1) CSR slots, far
    more than the scratch starts with, so the warm-up grows the view and the
@@ -521,6 +666,7 @@ let () =
           Alcotest.test_case "colocated PoPs" `Quick test_oracle_colocated;
           Alcotest.test_case "lattice PoPs" `Quick test_oracle_lattice;
           Alcotest.test_case "zero population" `Quick test_oracle_zero_population;
+          Alcotest.test_case "rounding tie" `Quick test_oracle_rounding_tie;
           Alcotest.test_case "seed set trials" `Quick test_oracle_seed_set_trials;
           Alcotest.test_case "seeding sweep" `Quick test_oracle_seeding_sweep;
           Alcotest.test_case "domains" `Quick test_oracle_domains;

@@ -258,6 +258,24 @@ let qcheck_edge_list_round_trip =
       | Ok h -> Graph.equal g h
       | Error _ -> false)
 
+(* The readers against random and mutated bytes; the seeds are the
+   goldens' inputs and a writer's output. *)
+let fuzz_seeds () =
+  [
+    Fuzz.read_file "golden/fit_input.gml";
+    Fuzz.read_file "golden/generate.expected";
+    Fuzz.read_file "golden/oversized.edges";
+    Edge_list.to_string (Builders.cycle 5);
+  ]
+
+let fuzz_gml_parser =
+  Fuzz.never_raises ~name:"fuzz" ~count:3000 (fuzz_seeds ()) (fun s ->
+      ignore (Gml_parser.parse s))
+
+let fuzz_edge_list =
+  Fuzz.never_raises ~name:"fuzz" ~count:3000 (fuzz_seeds ()) (fun s ->
+      ignore (Edge_list.of_string s))
+
 let () =
   Alcotest.run "cold_netio"
     [
@@ -279,6 +297,7 @@ let () =
           Alcotest.test_case "zoo style" `Quick test_gml_parse_zoo_style;
           Alcotest.test_case "errors" `Quick test_gml_parse_errors;
           Alcotest.test_case "file round trip" `Quick test_gml_file_round_trip;
+          fuzz_gml_parser;
         ] );
       ( "edge_list",
         [
@@ -287,6 +306,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_edge_list_errors;
           Alcotest.test_case "oversized inputs" `Quick test_oversized_inputs;
           Alcotest.test_case "files" `Quick test_edge_list_files;
+          fuzz_edge_list;
         ] );
       ( "properties",
         [

@@ -415,6 +415,44 @@ let test_wire_replay () =
               r cold))
     [ 1; 2 ]
 
+(* --- reader fuzz ---------------------------------------------------------------- *)
+
+let request_seeds =
+  [
+    "ping p1"; "stats s1"; "drain d1";
+    "synth j1 n=12 seed=7 deadline_ms=250";
+    "synth j2 n=20 seed=3 k0=10 k2=1e-4 k3=0.5 gens=20 pop=16 perms=2 survivable=1 format=gml";
+    "ensemble e1 n=8 seed=2 count=3";
+    "survive v1 n=10 seed=4 steps=50 fseed=9 link_rate=0.01 node_rate=0.001";
+  ]
+
+(* A request that parses canonicalizes, and its canonical form, given an
+   id, parses back to the same canonical key. *)
+let fuzz_parse =
+  Fuzz.never_raises ~name:"fuzz" ~count:5000 request_seeds (fun line ->
+      match P.parse line with
+      | Error _ | Ok { P.body = P.Ping | P.Stats | P.Drain; _ } -> ()
+      | Ok { P.body = P.Job j; _ } ->
+        let key = P.canonical_job j in
+        let line =
+          match String.index_opt key ' ' with
+          | Some i -> Fuzz.splice key i " rt"
+          | None -> key
+        in
+        (match P.parse line with
+         | Ok { P.body = P.Job j'; _ } when String.equal (P.canonical_job j') key -> ()
+         | _ -> QCheck.Test.fail_reportf "canonical key %S does not parse back" key))
+
+(* One service restores random and mutated dumps of a real cache. *)
+let fuzz_restore =
+  let svc = Service.create ~domains:1 ~cache_slots:8 () in
+  at_exit (fun () -> Service.shutdown svc);
+  ignore (respond_exn svc (synth_job ~n:4 ()));
+  ignore (respond_exn svc (synth_job ~format:P.Summary ~n:5 ()));
+  let dump = Service.dump_cache svc in
+  Fuzz.never_raises ~name:"restore fuzz" ~count:2000 [ dump ] (fun s ->
+      ignore (Service.restore_cache svc s))
+
 let () =
   Alcotest.run "cold_serve"
     [
@@ -424,6 +462,7 @@ let () =
           Alcotest.test_case "parse rejections" `Quick test_parse_rejections;
           Alcotest.test_case "canonical job" `Quick test_canonical_job;
           Alcotest.test_case "framing" `Quick test_framing;
+          fuzz_parse;
         ] );
       ( "service",
         [
@@ -431,6 +470,7 @@ let () =
             test_service_replay_across_domains;
           Alcotest.test_case "formats and cache" `Quick
             test_service_formats_and_cache;
+          fuzz_restore;
         ] );
       ( "wire",
         [
