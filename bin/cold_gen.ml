@@ -349,7 +349,7 @@ let added_arg =
 
 let decommission_arg =
   let doc = "Cost to remove an installed link." in
-  Arg.(value & opt float 50.0 & info [ "decommission" ] ~docv:"COST" ~doc)
+  Arg.(value & opt (float_at_least 0.0) 50.0 & info [ "decommission" ] ~docv:"COST" ~doc)
 
 let evolve pops seed k0 k2 k3 steps growth added decommission =
   (* The last design has pops + steps·added PoPs; --steps bounds only the
@@ -404,7 +404,7 @@ let trials_arg =
 
 let epsilon_arg =
   let doc = "ABC acceptance threshold (normalized statistic distance)." in
-  Arg.(value & opt float 0.35 & info [ "epsilon" ] ~docv:"EPS" ~doc)
+  Arg.(value & opt (float_at_least 0.0) 0.35 & info [ "epsilon" ] ~docv:"EPS" ~doc)
 
 let fit input seed trials epsilon domains =
   let parsed =

@@ -4,7 +4,8 @@ module Graph = Cold_graph.Graph
    value will be the j-th result of that batch's [compute]. *)
 type 'a state = Ready of 'a | Pending of int
 
-type 'a entry = { key : Graph.t; mutable state : 'a state }
+(* A key is the graph's rows alone: n·⌈n/8⌉ bytes, 200 at n = 40. *)
+type 'a entry = { key : Graph.Key.t; mutable state : 'a state }
 
 type 'a t = {
   slots : 'a entry option array;  (* direct-mapped: slot = fingerprint mod capacity *)
@@ -17,25 +18,19 @@ let create ~slots =
   if slots < 0 then invalid_arg "Fitness_cache.create: slots must be >= 0";
   { slots = Array.make slots None; hits = 0; misses = 0; entries = 0 }
 
-(* [g]'s slot ([-1] when memoization is off) and its entry, if resident. *)
-let find cache g =
+(* [g]'s slot, or [-1] when memoization is off. *)
+let slot_of cache g =
   let capacity = Array.length cache.slots in
-  if capacity = 0 then (-1, None)
-  else begin
-    let fp = Graph.fingerprint g in
+  if capacity = 0 then -1
+  else
     (* Mask the sign away before reducing mod capacity. *)
-    let slot =
-      Int64.to_int (Int64.rem (Int64.logand fp Int64.max_int) (Int64.of_int capacity))
-    in
-    match cache.slots.(slot) with
-    | Some e when Graph.equal e.key g -> (slot, Some e)
-    | _ -> (slot, None)
-  end
+    Int64.to_int
+      (Int64.rem (Int64.logand (Graph.fingerprint g) Int64.max_int) (Int64.of_int capacity))
 
-(* Store a copy of [g] in [slot], evicting its occupant. *)
+(* Store [g]'s rows in [slot], evicting its occupant. *)
 let store cache slot g state =
   if Option.is_none cache.slots.(slot) then cache.entries <- cache.entries + 1;
-  let e = { key = Graph.copy g; state } in
+  let e = { key = Graph.Key.of_graph g; state } in
   cache.slots.(slot) <- Some e;
   e
 
@@ -49,11 +44,12 @@ let find_all cache graphs compute =
   let answers =
     Array.map
       (fun g ->
-        match find cache g with
-        | (_, Some e) ->
+        let slot = slot_of cache g in
+        match if slot < 0 then None else cache.slots.(slot) with
+        | Some e when Graph.Key.matches e.key g ->
           cache.hits <- cache.hits + 1;
           e.state
-        | (slot, None) ->
+        | _ ->
           cache.misses <- cache.misses + 1;
           let j = !count in
           incr count;

@@ -4,9 +4,10 @@
     re-evaluate byte-identical chromosomes constantly; each such duplicate
     costs n Dijkstras plus a load-accumulation pass for an answer already
     computed. This cache keys on a canonical fingerprint of the adjacency
-    matrix ({!Cold_graph.Graph.fingerprint}, FNV-1a over the adjacency
-    bytes) and confirms every hit with a full structural equality check, so
-    a fingerprint collision can never return the wrong cost.
+    matrix ({!Cold_graph.Graph.fingerprint}, FNV-1a over the matrix's n²
+    bytes) and confirms every hit against the stored key's rows
+    ({!Cold_graph.Graph.Key.matches}), so a fingerprint collision can never
+    return the wrong cost.
 
     The store is a fixed-size direct-mapped table: slot = fingerprint mod
     capacity, insert evicts whatever occupied the slot. Eviction affects
@@ -17,8 +18,9 @@
     The cache belongs to one domain and takes no lock: lookups, inserts and
     counts are serial. To spread misses over a {!Cold_par.Par} pool, hand
     the pool to {!find_all}, which looks a whole batch up first and fans
-    out only its misses. Keys are defensively copied on insert, so callers
-    may mutate their graph afterwards. *)
+    out only its misses. A key is a copy of the graph's rows
+    ({!Cold_graph.Graph.Key}), n·⌈n/8⌉ bytes, so callers may mutate their
+    graph afterwards. *)
 
 type 'a t
 

@@ -88,7 +88,9 @@ val run :
     [?cache_slots] (default {!default_cache_slots}) bounds the fitness
     memo that lets duplicate chromosomes skip routing; [0] disables it.
     Hits return the exact float the objective produced, so the setting
-    never changes results.
+    never changes results. A key is the chromosome's bit rows, n·⌈n/8⌉
+    bytes, so the default memo's keys take at most 1024 · n·⌈n/8⌉ bytes:
+    0.2 MB at n = 40, 128 MB at n = 1000, 512 MB at n = 2000.
 
     [?survivable] (default [false]) constrains the search to 2-edge-connected
     topologies: every initial member and every bred child is lifted through

@@ -32,7 +32,7 @@ let hill_climb_settings = { default_settings with initial_temperature = 0.0 }
 (* Propose a neighbour of [g], built in the caller-owned [into] buffer:
    toggle one random pair, or turn a random hub into a leaf. Repairs
    connectivity. Writing into a reused buffer (Graph.copy_into) instead of
-   Graph.copy saves an n²-byte allocation per iteration — the proposal
+   Graph.copy saves a graph's allocation per iteration — the proposal
    loop's entire allocation profile at large n — and changes no byte of any
    candidate. Callers must copy a candidate they intend to retain. *)
 let propose ctx ~into g rng ~node_move_prob =

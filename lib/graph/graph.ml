@@ -1,10 +1,28 @@
 type t = {
   n : int;
-  adj : Bytes.t; (* n*n bytes; adj[u*n+v] = '\001' iff edge present *)
+  adj : Bytes.t;
+      (* n rows of [width n] bytes; v is in u's row iff bit (v land 7) of
+         byte u * width n + v lsr 3 is set. The padding bits (v >= n) and the
+         diagonal are always clear, so equal graphs have equal bytes. *)
   deg : int array;
   fwd : int array; (* fwd.(u) = #edges {u,v} with v > u: the rank index for nth_edge *)
   mutable m : int;
 }
+
+let width n = (n + 7) lsr 3
+
+let[@inline] bit adj row v =
+  Char.code (Bytes.unsafe_get adj (row + (v lsr 3))) land (1 lsl (v land 7)) <> 0
+
+let[@inline] set_bit adj row v =
+  let i = row + (v lsr 3) in
+  Bytes.unsafe_set adj i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get adj i) lor (1 lsl (v land 7))))
+
+let[@inline] clear_bit adj row v =
+  let i = row + (v lsr 3) in
+  Bytes.unsafe_set adj i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get adj i) land lnot (1 lsl (v land 7))))
 
 let check_vertex g v name =
   if v < 0 || v >= g.n then invalid_arg ("Graph." ^ name ^ ": vertex out of range")
@@ -13,7 +31,7 @@ let create n =
   if n < 0 then invalid_arg "Graph.create: negative size";
   {
     n;
-    adj = Bytes.make (n * n) '\000';
+    adj = Bytes.make (n * width n) '\000';
     deg = Array.make n 0;
     fwd = Array.make n 0;
     m = 0;
@@ -34,7 +52,7 @@ let copy g =
 
 let copy_into ~src ~dst =
   if src.n <> dst.n then invalid_arg "Graph.copy_into: size mismatch";
-  Bytes.blit src.adj 0 dst.adj 0 (src.n * src.n);
+  Bytes.blit src.adj 0 dst.adj 0 (Bytes.length src.adj);
   Array.blit src.deg 0 dst.deg 0 src.n;
   Array.blit src.fwd 0 dst.fwd 0 src.n;
   dst.m <- src.m
@@ -42,15 +60,16 @@ let copy_into ~src ~dst =
 let mem_edge g u v =
   check_vertex g u "mem_edge";
   check_vertex g v "mem_edge";
-  u <> v && Bytes.unsafe_get g.adj ((u * g.n) + v) = '\001'
+  bit g.adj (u * width g.n) v
 
 let add_edge g u v =
   check_vertex g u "add_edge";
   check_vertex g v "add_edge";
   if u = v then invalid_arg "Graph.add_edge: self-loop";
-  if Bytes.unsafe_get g.adj ((u * g.n) + v) = '\000' then begin
-    Bytes.unsafe_set g.adj ((u * g.n) + v) '\001';
-    Bytes.unsafe_set g.adj ((v * g.n) + u) '\001';
+  let w = width g.n in
+  if not (bit g.adj (u * w) v) then begin
+    set_bit g.adj (u * w) v;
+    set_bit g.adj (v * w) u;
     g.deg.(u) <- g.deg.(u) + 1;
     g.deg.(v) <- g.deg.(v) + 1;
     g.fwd.(min u v) <- g.fwd.(min u v) + 1;
@@ -60,9 +79,10 @@ let add_edge g u v =
 let remove_edge g u v =
   check_vertex g u "remove_edge";
   check_vertex g v "remove_edge";
-  if u <> v && Bytes.unsafe_get g.adj ((u * g.n) + v) = '\001' then begin
-    Bytes.unsafe_set g.adj ((u * g.n) + v) '\000';
-    Bytes.unsafe_set g.adj ((v * g.n) + u) '\000';
+  let w = width g.n in
+  if bit g.adj (u * w) v then begin
+    clear_bit g.adj (u * w) v;
+    clear_bit g.adj (v * w) u;
     g.deg.(u) <- g.deg.(u) - 1;
     g.deg.(v) <- g.deg.(v) - 1;
     g.fwd.(min u v) <- g.fwd.(min u v) - 1;
@@ -100,9 +120,14 @@ let core_count g =
 
 let iter_neighbors g v f =
   check_vertex g v "iter_neighbors";
-  let row = v * g.n in
-  for u = 0 to g.n - 1 do
-    if Bytes.unsafe_get g.adj (row + u) = '\001' then f u
+  let row = v * width g.n in
+  for b = 0 to width g.n - 1 do
+    (* Skip empty bytes; in the others re-read the byte for every bit, so
+       that [f] sees the row as it stands, as a scan of single pairs would. *)
+    if Bytes.unsafe_get g.adj (row + b) <> '\000' then
+      for u = b lsl 3 to (b lsl 3) + 7 do
+        if bit g.adj row u then f u
+      done
   done
 
 let fold_neighbors g v f init =
@@ -114,10 +139,11 @@ let fold_neighbors g v f init =
 let neighbors g v = List.rev (fold_neighbors g v (fun acc u -> u :: acc) [])
 
 let iter_edges g f =
+  let w = width g.n in
   for u = 0 to g.n - 1 do
-    let row = u * g.n in
+    let row = u * w in
     for v = u + 1 to g.n - 1 do
-      if Bytes.unsafe_get g.adj (row + v) = '\001' then f u v
+      if bit g.adj row v then f u v
     done
   done
 
@@ -127,6 +153,19 @@ let fold_edges g f init =
   !acc
 
 let edges g = List.rev (fold_edges g (fun acc u v -> (u, v) :: acc) [])
+
+(* The vertex v > u at which the [r]-th (0-based) pair {u, v} with
+   [mem_edge g u v = present] sits; the caller's index walk guarantees that
+   row u has one. *)
+let nth_in_row g u r ~present =
+  let row = u * width g.n in
+  let v = ref u in
+  let remaining = ref (r + 1) in
+  while !remaining > 0 do
+    incr v;
+    if bit g.adj row !v = present then decr remaining
+  done;
+  !v
 
 let nth_edge g k =
   if k < 0 || k >= g.m then invalid_arg "Graph.nth_edge: rank out of range";
@@ -139,14 +178,7 @@ let nth_edge g k =
     r := !r - g.fwd.(!u);
     incr u
   done;
-  let row = !u * g.n in
-  let v = ref !u in
-  let remaining = ref (!r + 1) in
-  while !remaining > 0 do
-    incr v;
-    if Bytes.unsafe_get g.adj (row + !v) = '\001' then decr remaining
-  done;
-  (!u, !v)
+  (!u, nth_in_row g !u !r ~present:true)
 
 let nth_absent_pair g k =
   let absent = (g.n * (g.n - 1) / 2) - g.m in
@@ -162,26 +194,18 @@ let nth_absent_pair g k =
     r := !r - row_absent !u;
     incr u
   done;
-  let row = !u * g.n in
-  let v = ref !u in
-  let remaining = ref (!r + 1) in
-  while !remaining > 0 do
-    incr v;
-    if Bytes.unsafe_get g.adj (row + !v) = '\000' then decr remaining
-  done;
-  (!u, !v)
+  (!u, nth_in_row g !u !r ~present:false)
 
 let edge_diff g h =
   if g.n <> h.n then invalid_arg "Graph.edge_diff: size mismatch";
+  let w = width g.n in
   let removed = ref [] and added = ref [] in
   for u = g.n - 1 downto 0 do
-    let row = u * g.n in
+    let row = u * w in
     for v = g.n - 1 downto u + 1 do
-      let a = Bytes.unsafe_get g.adj (row + v) in
-      let b = Bytes.unsafe_get h.adj (row + v) in
-      if a <> b then
-        if a = '\001' then removed := (u, v) :: !removed
-        else added := (u, v) :: !added
+      let a = bit g.adj row v in
+      if a <> bit h.adj row v then
+        if a then removed := (u, v) :: !removed else added := (u, v) :: !added
     done
   done;
   (!removed, !added)
@@ -193,19 +217,39 @@ let recombine parents ~pick =
     (fun p -> if p.n <> n then invalid_arg "Graph.recombine: size mismatch")
     parents;
   let child = create n in
+  let w = width n in
   let last = Array.length parents - 1 in
-  let rank = ref 0 in
   for u = 0 to n - 1 do
-    let row = u * n in
-    for v = u + 1 to n - 1 do
-      let b = Bytes.unsafe_get parents.(0).adj (row + v) in
-      let agree = ref true in
+    let row = u * w in
+    (* Pair {u, v}, v > u, has rank [base + v]. *)
+    let base = (u * ((2 * n) - u - 1) / 2) - u - 1 in
+    let first = (u + 1) lsr 3 in
+    for b = first to w - 1 do
+      (* A byte of eight pairs at once: [all] holds the links every parent
+         has, [any] those some parent has. Row u decides only the pairs
+         above the diagonal, and the padding bits are clear in every
+         parent. *)
+      let all = ref (Char.code (Bytes.unsafe_get parents.(0).adj (row + b))) in
+      let any = ref !all in
       for p = 1 to last do
-        if Bytes.unsafe_get parents.(p).adj (row + v) <> b then agree := false
+        let x = Char.code (Bytes.unsafe_get parents.(p).adj (row + b)) in
+        all := !all land x;
+        any := !any lor x
       done;
-      let b = if !agree then b else Bytes.unsafe_get parents.(pick !rank).adj (row + v) in
-      if b = '\001' then add_edge child u v;
-      incr rank
+      let upper = if b = first then (0xff lsl ((u + 1) land 7)) land 0xff else 0xff in
+      let links = ref (!all land upper) in
+      let split = (!all lxor !any) land upper in
+      if split <> 0 then
+        for j = 0 to 7 do
+          if split land (1 lsl j) <> 0 then begin
+            let v = (b lsl 3) + j in
+            if bit parents.(pick (base + v)).adj row v then links := !links lor (1 lsl j)
+          end
+        done;
+      if !links <> 0 then
+        for j = 0 to 7 do
+          if !links land (1 lsl j) <> 0 then add_edge child u ((b lsl 3) + j)
+        done
     done
   done;
   child
@@ -220,26 +264,45 @@ let degree_sequence g = Array.copy g.deg
 let equal g h = g.n = h.n && g.m = h.m && Bytes.equal g.adj h.adj
 
 let fingerprint g =
-  (* FNV-1a over the adjacency bytes, seeded with n so that empty graphs of
-     different sizes differ. The adjacency matrix is symmetric with a zero
-     diagonal, so it is already a canonical encoding of the edge set. The
-     accumulator is a local ref in a plain loop, which the compiler keeps
-     unboxed. *)
+  (* FNV-1a over the adjacency matrix written out as n² bytes (byte u*n+v
+     is 1 iff {u,v} is a link), seeded with n so that empty graphs of
+     different sizes differ; memo slots depend on these exact values. The
+     matrix is symmetric with a zero diagonal, so it is already a canonical
+     encoding of the edge set. A zero byte's step is a multiplication by
+     the prime, so a row byte with no links among its k columns is one
+     multiplication by prime^k. The accumulators are local refs in plain
+     loops, which the compiler keeps unboxed. *)
   let fnv_prime = 0x100000001B3L in
+  let w = width g.n in
+  let tail = g.n - ((w - 1) lsl 3) in
+  let p8 = ref 1L and p_tail = ref 1L in
+  for k = 1 to 8 do
+    p8 := Int64.mul !p8 fnv_prime;
+    if k = tail then p_tail := !p8
+  done;
   let h = ref (Int64.mul (Int64.logxor 0xCBF29CE484222325L (Int64.of_int g.n)) fnv_prime) in
-  for i = 0 to Bytes.length g.adj - 1 do
-    let b = Int64.of_int (Char.code (Bytes.unsafe_get g.adj i)) in
-    h := Int64.mul (Int64.logxor !h b) fnv_prime
+  for u = 0 to g.n - 1 do
+    let row = u * w in
+    for b = 0 to w - 1 do
+      let x = Char.code (Bytes.unsafe_get g.adj (row + b)) in
+      if x <> 0 then
+        for j = 0 to (if b = w - 1 then tail else 8) - 1 do
+          h := Int64.mul (Int64.logxor !h (Int64.of_int ((x lsr j) land 1))) fnv_prime
+        done
+      else if b = w - 1 then h := Int64.mul !h !p_tail
+      else h := Int64.mul !h !p8
+    done
   done;
   !h
 
 let adjacency_arrays g =
+  let w = width g.n in
   Array.init g.n (fun v ->
       let a = Array.make g.deg.(v) 0 in
       let k = ref 0 in
-      let row = v * g.n in
+      let row = v * w in
       for u = 0 to g.n - 1 do
-        if Bytes.unsafe_get g.adj (row + u) = '\001' then begin
+        if bit g.adj row u then begin
           a.(!k) <- u;
           incr k
         end
@@ -250,6 +313,18 @@ let remove_all_edges_of g v =
   check_vertex g v "remove_all_edges_of";
   iter_neighbors g v (fun u -> remove_edge g u v)
 
+module Key = struct
+  type graph = t
+
+  (* A graph's rows alone. n·⌈n/8⌉ grows strictly with n, so the length
+     fixes the vertex count, and equal rows mean equal graphs. *)
+  type t = Bytes.t
+
+  let of_graph (g : graph) = Bytes.copy g.adj
+
+  let matches k (g : graph) = Bytes.equal k g.adj
+end
+
 module Csr = struct
   type graph = t
 
@@ -257,6 +332,7 @@ module Csr = struct
 
   let of_graph ?reuse (g : graph) =
     let n = g.n in
+    let w = width n in
     let m2 = 2 * g.m in
     let offsets, targets =
       match reuse with
@@ -268,12 +344,16 @@ module Csr = struct
     let k = ref 0 in
     for v = 0 to n - 1 do
       offsets.(v) <- !k;
-      let row = v * n in
-      for u = 0 to n - 1 do
-        if Bytes.unsafe_get g.adj (row + u) = '\001' then begin
-          Array.unsafe_set targets !k u;
-          incr k
-        end
+      let row = v * w in
+      for b = 0 to w - 1 do
+        let x = Char.code (Bytes.unsafe_get g.adj (row + b)) in
+        if x <> 0 then
+          for j = 0 to 7 do
+            if x land (1 lsl j) <> 0 then begin
+              Array.unsafe_set targets !k ((b lsl 3) + j);
+              incr k
+            end
+          done
       done
     done;
     offsets.(n) <- !k;

@@ -2,11 +2,12 @@
 
     This is the chromosome type of the COLD genetic algorithm (§4: "each
     candidate topology ... is stored as an n by n adjacency matrix") and the
-    substrate for every topology statistic. The representation is a dense
-    byte adjacency matrix plus a degree array: PoP-level networks are small
-    (the paper: "it is rare to see a network with more than a 100 PoPs"), and
-    dense adjacency gives O(1) membership, O(n) neighbour iteration and O(n²)
-    copy — the operations the GA performs millions of times.
+    substrate for every topology statistic. The representation is a bit
+    adjacency matrix — n rows of ⌈n/8⌉ bytes, n·⌈n/8⌉ bytes in all — plus a
+    degree array: PoP-level networks are small (the paper: "it is rare to
+    see a network with more than a 100 PoPs"), and dense adjacency gives
+    O(1) membership, O(n) neighbour iteration and an O(n²/8) byte copy —
+    the operations the GA performs millions of times.
 
     Self-loops are forbidden; parallel edges cannot be represented. Mutation
     is in-place; use {!copy} when genetic operators must not alias. *)
@@ -26,7 +27,7 @@ val copy_into : src:t -> dst:t -> unit
 (** [copy_into ~src ~dst] overwrites [dst] with [src]'s topology in place —
     the allocation-free alternative to {!copy} for optimizers that propose a
     mutant per iteration and can recycle one scratch graph instead of
-    allocating n² bytes per evaluation. Raises [Invalid_argument] if the
+    allocating a graph per evaluation. Raises [Invalid_argument] if the
     vertex counts differ. *)
 
 val node_count : t -> int
@@ -95,7 +96,7 @@ val edge_diff : t -> t -> (int * int) list * (int * int) list
 (** [edge_diff g h] is [(removed, added)]: the edges of [g] absent from [h]
     and the edges of [h] absent from [g], each in lexicographic order —
     i.e. the operations turning [g] into [h]. Raises [Invalid_argument] if
-    the vertex counts differ. O(n²) byte comparison. *)
+    the vertex counts differ. O(n²). *)
 
 val recombine : t array -> pick:(int -> int) -> t
 (** [recombine parents ~pick] is the child of one crossover: a pair
@@ -123,10 +124,12 @@ val equal : t -> t -> bool
 
 val fingerprint : t -> int64
 (** [fingerprint g] is a 64-bit FNV-1a hash of the vertex count and the
-    adjacency matrix — a canonical fingerprint of the labelled topology:
+    adjacency matrix written out as n² bytes (byte [u*n+v] is [1] iff
+    {u,v} is a link) — a canonical fingerprint of the labelled topology:
     equal graphs always collide, unequal graphs almost never do. Callers
     needing certainty (e.g. fitness memoization) must confirm a match with
-    {!equal}. O(n²). *)
+    {!equal} or {!Key.matches}. O(n²), and a row byte without links costs
+    one step instead of eight. *)
 
 val adjacency_arrays : t -> int array array
 (** [adjacency_arrays g] materializes each vertex's neighbours as an array,
@@ -139,9 +142,24 @@ val remove_all_edges_of : t -> int -> unit
 (** [remove_all_edges_of g v] detaches vertex [v] entirely (used by the
     node-mutation operator that turns a hub into a leaf, §4.1.2). *)
 
+(** The rows of a graph alone, without its degree and index arrays: the
+    n·⌈n/8⌉ bytes a fitness memo keeps per key. *)
+module Key : sig
+  type graph := t
+
+  type t
+
+  val of_graph : graph -> t
+  (** [of_graph g] copies [g]'s rows; it does not track later mutation. *)
+
+  val matches : t -> graph -> bool
+  (** [matches k g] is [true] iff [k] was made from a graph {!equal} to
+      [g]. It compares the rows in place and allocates nothing. *)
+end
+
 (** Flat CSR (compressed sparse row) adjacency snapshots.
 
-    The dense byte matrix gives O(1) membership but O(n) neighbour
+    The dense bit matrix gives O(1) membership but O(n) neighbour
     iteration; at large n the read-only sweeps (n-source Dijkstra, BFS
     batteries, Brandes) spend all their time scanning mostly-empty rows.
     A CSR view packs every neighbour list into two flat int arrays —

@@ -34,7 +34,7 @@ let of_string s =
       in
       let (n, m) = parse_two header_line header in
       if n < 0 || m < 0 then err header_line "negative header";
-      (* The graph is an n²-byte matrix: refuse a size before allocating it. *)
+      (* The graph is a quadratic bit matrix: refuse a size before allocating it. *)
       if n > Limits.max_n then
         err header_line "header claims %d nodes, more than the limit of %d" n
           Limits.max_n;

@@ -118,7 +118,7 @@ let parse_internal text =
       (find_all "node" graph_pairs)
   in
   let sorted = List.sort_uniq Int.compare node_ids in
-  (* The graph is an n²-byte matrix: refuse a size before allocating it. *)
+  (* The graph is a quadratic bit matrix: refuse a size before allocating it. *)
   let n = List.length sorted in
   if n > Limits.max_n then
     err graph_line

@@ -3,8 +3,8 @@
     One set of limits for every entry point: the [cold_serve] wire protocol
     ({!Cold_serve.Protocol}), the [cold_gen] command line and the topology
     readers ({!Cold_netio.Edge_list}, {!Cold_netio.Gml_parser}). A graph on
-    n PoPs is an n²-byte matrix, so a size read from untrusted input is
-    checked against these before anything is allocated from it. *)
+    n PoPs is a bit matrix of n·⌈n/8⌉ bytes, so a size read from untrusted
+    input is checked against these before anything is allocated from it. *)
 
 val max_n : int
 (** Most PoPs in one topology: 2000. *)

@@ -596,6 +596,200 @@ let test_copy_into () =
     (Invalid_argument "Graph.copy_into: size mismatch") (fun () ->
       Graph.copy_into ~src ~dst:(Graph.create 5))
 
+(* --- bit rows against a model ------------------------------------------------ *)
+
+(* A row is ⌈n/8⌉ bytes, so these sizes put the last column at every
+   awkward place in a byte: alone in a byte of its own (9, 17, 65), last
+   of a full byte (8, 16, 64), and short of it (2, 7, 15, 63). *)
+let model_sizes = [ 0; 1; 2; 7; 8; 9; 15; 16; 17; 63; 64; 65 ]
+
+(* FNV-1a over the model's n² bytes (1 for a link), seeded with n: the
+   fingerprint's definition, computed without the bit rows. *)
+let model_fingerprint model =
+  let prime = 0x100000001B3L in
+  let h =
+    ref (Int64.mul (Int64.logxor 0xCBF29CE484222325L (Int64.of_int (Array.length model))) prime)
+  in
+  Array.iter
+    (Array.iter (fun link -> h := Int64.mul (Int64.logxor !h (if link then 1L else 0L)) prime))
+    model;
+  !h
+
+(* The pairs u < v whose model bit is [present], lexicographically. *)
+let model_pairs model ~present =
+  let n = Array.length model in
+  let acc = ref [] in
+  for u = n - 1 downto 0 do
+    for v = n - 1 downto u + 1 do
+      if model.(u).(v) = present then acc := (u, v) :: !acc
+    done
+  done;
+  !acc
+
+(* Every query against the model. A graph built afresh from the model's
+   links has clear padding bits and a clear diagonal, so [equal] and
+   [Key.matches] fail on any stray bit; a stray padding bit also shows up
+   as a neighbour past n in the row scans. *)
+let check_model label g model =
+  let n = Array.length model in
+  let fail fmt = Printf.ksprintf (fun s -> Alcotest.failf "%s: %s" label s) fmt in
+  if Graph.node_count g <> n then fail "node count %d" (Graph.node_count g);
+  let links = model_pairs model ~present:true in
+  if Graph.edge_count g <> List.length links then fail "edge_count %d" (Graph.edge_count g);
+  let fresh = Graph.of_edges n (List.rev links) in
+  if not (Graph.equal g fresh) then fail "not equal to the same links built afresh";
+  if not (Graph.Key.matches (Graph.Key.of_graph fresh) g) then fail "key does not match";
+  let rows = Array.init n (fun u -> List.filter (fun v -> model.(u).(v)) (List.init n Fun.id)) in
+  Array.iteri
+    (fun u row ->
+      for v = 0 to n - 1 do
+        if Graph.mem_edge g u v <> model.(u).(v) then fail "mem_edge %d %d" u v
+      done;
+      if Graph.degree g u <> List.length row then fail "degree %d" u;
+      if Graph.neighbors g u <> row then fail "neighbours of %d" u)
+    rows;
+  (* Only now: a stray bit would make the view overrun its targets. *)
+  let csr = Graph.Csr.of_graph g in
+  Array.iteri
+    (fun u row -> if neighbors_via (Graph.Csr.iter_neighbors csr) u <> row then fail "csr row %d" u)
+    rows;
+  if Graph.edges g <> links then fail "edges";
+  List.iteri
+    (fun k p -> if Graph.nth_edge g k <> p then fail "nth_edge %d" k)
+    links;
+  List.iteri
+    (fun k p -> if Graph.nth_absent_pair g k <> p then fail "nth_absent_pair %d" k)
+    (model_pairs model ~present:false);
+  if not (Int64.equal (Graph.fingerprint g) (model_fingerprint model)) then
+    fail "fingerprint";
+  (* Toggle a pair in the last column: equal everywhere else. *)
+  List.iter
+    (fun u ->
+      let h = Graph.copy fresh in
+      if model.(u).(n - 1) then Graph.remove_edge h u (n - 1) else Graph.add_edge h u (n - 1);
+      if Graph.equal g h then fail "equal despite pair {%d,%d}" u (n - 1);
+      if Graph.Key.matches (Graph.Key.of_graph h) g then fail "key matches despite {%d,%d}" u (n - 1))
+    (if n >= 2 then List.sort_uniq Int.compare [ 0; n - 2 ] else [])
+
+let model_recombine parents ~pick =
+  let n = Array.length parents.(0) in
+  let child = Array.make_matrix n n false in
+  let rank = ref 0 in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      let b = parents.(0).(u).(v) in
+      let b =
+        if Array.for_all (fun p -> p.(u).(v) = b) parents then b
+        else parents.(pick !rank).(u).(v)
+      in
+      child.(u).(v) <- b;
+      child.(v).(u) <- b;
+      incr rank
+    done
+  done;
+  child
+
+(* Random add/remove/copy_into/remove_all_edges_of/recombine sequences on a
+   pool of three graphs (empty, complete, and one grown by row fills),
+   each held to a bool matrix after every step. *)
+let test_bit_rows_model () =
+  let rng = Prng.create 8 in
+  List.iter
+    (fun n ->
+      let pool = [| Graph.create n; Graph.complete n; Graph.create n |] in
+      let models =
+        [|
+          Array.make_matrix n n false;
+          Array.init n (fun u -> Array.init n (fun v -> u <> v));
+          Array.make_matrix n n false;
+        |]
+      in
+      let set i u v b =
+        models.(i).(u).(v) <- b;
+        models.(i).(v).(u) <- b
+      in
+      for step = 1 to 40 do
+        let i = Prng.int rng 3 in
+        let g = pool.(i) in
+        (match Prng.int rng 10 with
+        | (0 | 1 | 2) when n >= 2 ->
+          let u = Prng.int rng n and v = Prng.int rng (n - 1) in
+          let v = if v >= u then v + 1 else v in
+          Graph.add_edge g u v;
+          set i u v true
+        | (3 | 4) when n >= 2 -> (
+          match model_pairs models.(i) ~present:true with
+          | [] -> ()
+          | links ->
+            let (u, v) = List.nth links (Prng.int rng (List.length links)) in
+            Graph.remove_edge g v u;
+            set i u v false)
+        | 5 when n >= 2 ->
+          (* A whole row, so every byte of it fills. *)
+          let u = Prng.int rng n in
+          for v = 0 to n - 1 do
+            if v <> u then begin
+              Graph.add_edge g u v;
+              set i u v true
+            end
+          done
+        | 6 ->
+          let j = (i + 1 + Prng.int rng 2) mod 3 in
+          Graph.copy_into ~src:pool.(j) ~dst:g;
+          models.(i) <- Array.map Array.copy models.(j)
+        | 7 when n >= 1 ->
+          let v = Prng.int rng n in
+          Graph.remove_all_edges_of g v;
+          for u = 0 to n - 1 do
+            if u <> v then set i u v false
+          done
+        | _ ->
+          let k = 1 + Prng.int rng 3 in
+          let ids = Array.init k (fun j -> (i + j) mod 3) in
+          let salt = Prng.int rng 1000 in
+          let pick rank = (rank + salt) mod k in
+          let asked = ref [] in
+          let child =
+            Graph.recombine
+              (Array.map (fun j -> pool.(j)) ids)
+              ~pick:(fun rank ->
+                asked := rank :: !asked;
+                pick rank)
+          in
+          let model_asked = ref [] in
+          let model_child =
+            model_recombine
+              (Array.map (fun j -> models.(j)) ids)
+              ~pick:(fun rank ->
+                model_asked := rank :: !model_asked;
+                pick rank)
+          in
+          if !asked <> !model_asked then
+            Alcotest.failf "n=%d step %d: recombine asked other ranks" n step;
+          pool.(i) <- child;
+          models.(i) <- model_child);
+        check_model (Printf.sprintf "n=%d step %d" n step) pool.(i) models.(i)
+      done)
+    model_sizes
+
+(* The rows of a 40-PoP design are 200 bytes, 27 words with the header
+   and padding. With the degree and forward-degree arrays and the record,
+   a design retains 115 words; a byte per pair would make it 290. *)
+let test_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Graph.create 40)) in
+  if words > 120 then Alcotest.failf "Graph.create 40 retains %d words, over 120" words;
+  (* A memo hit compares rows in place: no key is built per lookup. *)
+  let g = random_graph (Prng.create 40) 40 ~p:0.1 in
+  let key = Graph.Key.of_graph g in
+  let h = Graph.copy g in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Graph.Key.matches key h))
+  done;
+  let allocated = Gc.minor_words () -. before in
+  if allocated > 100.0 then
+    Alcotest.failf "1000 Key.matches allocated %.0f words" allocated
+
 (* --- properties ------------------------------------------------------------ *)
 
 let random_graph_ops_gen =
@@ -654,6 +848,8 @@ let () =
           Alcotest.test_case "complete" `Quick test_complete;
           Alcotest.test_case "remove_all_edges_of" `Quick test_remove_all_edges_of;
           Alcotest.test_case "degree sequence" `Quick test_degree_sequence;
+          Alcotest.test_case "bit rows against a model" `Quick test_bit_rows_model;
+          Alcotest.test_case "footprint" `Quick test_footprint;
         ] );
       ( "heap",
         [

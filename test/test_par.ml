@@ -244,6 +244,28 @@ let test_fitness_cache_find_all () =
   ignore (Fc.find_or_compute c pool.(0) (fun () -> Alcotest.fail "evicted"));
   Alcotest.(check int) "occupant still hits" 1 (Fc.hits c)
 
+(* A memo entry is a 40-PoP design's rows (27 words with their header),
+   the entry record, its slot's [Some], the [Ready] state and the boxed
+   cost: 36 words. A key that kept a whole graph (290 words) fails. *)
+let test_memo_footprint () =
+  let module Fc = Cold.Fitness_cache in
+  let cache = Fc.create ~slots:1024 in
+  let empty = Obj.reachable_words (Obj.repr cache) in
+  let rng = Prng.create 50 in
+  (* Distinct designs until 50 slots are held: two may share a slot. *)
+  while Fc.entries cache < 50 do
+    let g = Graph.create 40 in
+    for u = 0 to 39 do
+      for v = u + 1 to 39 do
+        if Prng.float rng < 0.1 then Graph.add_edge g u v
+      done
+    done;
+    ignore (Fc.find_or_compute cache g (fun () -> float_of_int (Graph.edge_count g)))
+  done;
+  let per_entry = (Obj.reachable_words (Obj.repr cache) - empty) / 50 in
+  if per_entry > 45 then
+    Alcotest.failf "a memo entry retains %d words, over 45" per_entry
+
 (* --- GA determinism across domain counts -------------------------------------- *)
 
 let small_settings =
@@ -350,6 +372,7 @@ let () =
           Alcotest.test_case "find_all is serial" `Quick test_fitness_cache_find_all;
           Alcotest.test_case "forced collision" `Quick
             test_fitness_cache_collision;
+          Alcotest.test_case "memo footprint" `Quick test_memo_footprint;
         ] );
       ( "determinism",
         [
