@@ -34,12 +34,10 @@ let () =
         bench "ablation_routing" Ablation_routing.run;
         bench "ga_hotpath" Ga_hotpath.run;
         bench "failure_sweep" Failure_sweep.run;
-        bench "serve_sweep" Serve_sweep.run;
         (* Large-n scaling cells (n up to 1000): opt-in only — run via the
            @bench-large alias or COLD_BENCH_ONLY=ga_hotpath_large. *)
-        (match Sys.getenv_opt "COLD_BENCH_ONLY" with
+        match Sys.getenv_opt "COLD_BENCH_ONLY" with
         | Some _ -> bench "ga_hotpath_large" Ga_hotpath.run_large
-        | None -> ());
-        bench "micro" Micro.run)
+        | None -> ())
   in
   Printf.printf "\ntotal harness time: %.0fs\n" elapsed

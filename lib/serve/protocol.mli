@@ -77,7 +77,7 @@ val canonical_job : job -> string
 (** The canonical request key: verb plus every parameter (defaults filled
     in) in a fixed order, floats rendered exactly ([%h]). Two lines that
     parse to the same computation canonicalize identically — this string
-    is the request cache's identity and the params half of its digest. *)
+    is the request cache's identity, and its hash the cache key. *)
 
 val verb_of_job : job -> string
 

@@ -37,13 +37,16 @@ type config = {
   max_line : int;  (** Request-line byte budget, ≥ 1; default 4096. *)
   cache_file : string option;
       (** Replay-cache persistence (default [None]): {!create} reloads the
-          file if it exists and is well-formed ({!Service.restore_cache}),
-          and {!run} dumps the cache to it — write-then-rename, so the
-          previous dump is never truncated — after draining. Best-effort
-          on both ends: a missing, corrupt or unwritable file never stops
-          the daemon; the cache is a warm-start hint, every entry is
-          re-derivable. Replayed hits return the dumped bytes verbatim, so
-          restart replay stays bit-exact. *)
+          file if it exists, is well-formed and carries this build's
+          reference digest ({!Service.restore_cache}; a file written by
+          another build restores nothing), and {!run} dumps the cache to
+          it — write-then-rename, so the previous dump is never truncated
+          — after draining. Best-effort on both ends: a missing, corrupt,
+          foreign or unwritable file never stops the daemon; the cache is
+          a warm-start hint, every entry is re-derivable. Replayed hits
+          return the dumped bytes verbatim, so restart replay stays
+          bit-exact. The reference digest is computed only when a file is
+          read or written, never without a [cache_file]. *)
 }
 
 val default_config : config

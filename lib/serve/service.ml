@@ -4,53 +4,25 @@ module Network = Cold_net.Network
 module Par = Cold_par.Par
 module P = Protocol
 
-(* --- FNV-1a digests ----------------------------------------------------------
+(* --- replay cache ------------------------------------------------------------
 
-   The same hash family as Graph.fingerprint / Prng.seed_of_string, extended
-   to fold whole 64-bit words so context fingerprints can absorb float bit
-   patterns exactly. *)
+   A context is drawn from the job's [n] and [seed], and the design is a
+   deterministic function of that context, so the canonical job names the
+   whole computation. The key is FNV-1a over the canonical string (the
+   hash family of Graph.fingerprint), and every hit is confirmed against
+   the stored string, so a key collision can never replay the wrong
+   payload. *)
 
-let fnv_prime = 0x100000001B3L
 let fnv_offset = 0xCBF29CE484222325L
 
-let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
-
-let mix_int64 h x =
+let fnv1a h s =
   let h = ref h in
-  for shift = 0 to 7 do
-    h :=
-      mix_byte !h
-        (Int64.to_int (Int64.logand (Int64.shift_right_logical x (8 * shift)) 0xFFL))
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001B3L
   done;
   !h
 
-let mix_float h x = mix_int64 h (Int64.bits_of_float x)
-
-let mix_string h s =
-  String.fold_left (fun h c -> mix_byte h (Char.code c)) h s
-
-(* Canonical fingerprint of a context: PoP count, every coordinate and
-   every population, plus the gravity scale — exactly the data the design
-   step consumes. Bit-identical contexts (same spec, same seed) fingerprint
-   identically on every platform. *)
-let context_fingerprint (ctx : Context.t) =
-  let h = ref (mix_int64 fnv_offset (Int64.of_int (Context.n ctx))) in
-  Array.iter
-    (fun (p : Cold_geom.Point.t) ->
-      h := mix_float !h p.Cold_geom.Point.x;
-      h := mix_float !h p.Cold_geom.Point.y)
-    ctx.Context.points;
-  Array.iter
-    (fun pop -> h := mix_float !h pop)
-    (Cold_traffic.Gravity.populations ctx.Context.tm);
-  mix_float !h ctx.Context.spec.Context.traffic_scale
-
-(* --- replay cache ------------------------------------------------------------ *)
-
-(* [key] is stored alongside the verification fields so a dumped cache can
-   be re-slotted on reload without recomputing digests (the capacity — and
-   with it the slot index — may differ between runs). *)
-type entry = { key : int64; canon : string; ctx_fp : int64; payload : string }
+type entry = { canon : string; payload : string }
 
 type cache = {
   cmutex : Mutex.t;
@@ -69,61 +41,52 @@ let cache_create slots =
     misses = 0;
   }
 
-let slot_of cache key =
+(* The slot [canon] lives in; [None] when the cache is disabled. *)
+let slot_of cache canon =
   let capacity = Array.length cache.slots in
-  Int64.to_int (Int64.rem (Int64.logand key Int64.max_int) (Int64.of_int capacity))
+  if capacity = 0 then None
+  else
+    let key = Int64.logand (fnv1a fnv_offset canon) Int64.max_int in
+    Some (Int64.to_int (Int64.rem key (Int64.of_int capacity)))
 
-(* The cache key triple: context fingerprint, canonical-params digest, seed
-   (the seed also lives inside the canonical string; folding it explicitly
-   keeps the key shape the documentation promises). *)
-let cache_key ~ctx_fp ~canon ~seed =
-  mix_int64 (mix_string (mix_int64 fnv_offset ctx_fp) canon) (Int64.of_int seed)
-
-let cache_find cache ~key ~canon ~ctx_fp =
-  if Array.length cache.slots = 0 then begin
-    Mutex.lock cache.cmutex;
-    cache.misses <- cache.misses + 1;
-    Mutex.unlock cache.cmutex;
-    None
-  end
-  else begin
-    let slot = slot_of cache key in
-    Mutex.lock cache.cmutex;
-    let answer =
-      match cache.slots.(slot) with
-      | Some e when String.equal e.canon canon && Int64.equal e.ctx_fp ctx_fp ->
+let cache_find cache canon =
+  let slot = slot_of cache canon in
+  Mutex.protect cache.cmutex (fun () ->
+      match Option.bind slot (Array.get cache.slots) with
+      | Some e when String.equal e.canon canon ->
         cache.hits <- cache.hits + 1;
         Some e.payload
       | _ ->
         cache.misses <- cache.misses + 1;
-        None
-    in
-    Mutex.unlock cache.cmutex;
-    answer
-  end
+        None)
 
-let cache_store cache ~key ~canon ~ctx_fp payload =
-  if Array.length cache.slots > 0 then begin
-    let slot = slot_of cache key in
-    Mutex.lock cache.cmutex;
-    if cache.slots.(slot) = None then cache.entries <- cache.entries + 1;
-    cache.slots.(slot) <- Some { key; canon; ctx_fp; payload };
-    Mutex.unlock cache.cmutex
-  end
+let cache_store cache canon payload =
+  Option.iter
+    (fun slot ->
+      Mutex.protect cache.cmutex (fun () ->
+          if cache.slots.(slot) = None then cache.entries <- cache.entries + 1;
+          cache.slots.(slot) <- Some { canon; payload }))
+    (slot_of cache canon)
 
 (* --- service state ------------------------------------------------------------ *)
+
+(* [stats] reports service-time percentiles over the last [window] jobs,
+   held in a ring, so a long-running daemon neither grows the record nor
+   sorts its whole history. *)
+let window = 4096
 
 type t = {
   pool : Par.t;
   cache : cache;
   now : unit -> float;
-  mutex : Mutex.t;  (* counters + service-time reservoir *)
+  mutex : Mutex.t;  (* counters, service-time ring, reference digest *)
   mutable requests : int;
   mutable jobs : int;
   mutable sheds : int;
   mutable errors : int;
-  mutable times : float array;  (* seconds; first [ntimes] are live *)
-  mutable ntimes : int;
+  times : float array;  (* seconds; job k's time sits at k mod window *)
+  mutable ntimes : int;  (* jobs timed so far *)
+  mutable reference : string option;  (* see [reference_digest] *)
 }
 
 let create ?(domains = 1) ?(cache_slots = 256) ?(now = fun () -> 0.) () =
@@ -138,17 +101,14 @@ let create ?(domains = 1) ?(cache_slots = 256) ?(now = fun () -> 0.) () =
     jobs = 0;
     sheds = 0;
     errors = 0;
-    times = Array.make 64 0.;
+    times = Array.make window 0.;
     ntimes = 0;
+    reference = None;
   }
 
 let parallelism t = Par.parallelism t.pool
 
-let locked t f =
-  Mutex.lock t.mutex;
-  let r = f () in
-  Mutex.unlock t.mutex;
-  r
+let locked t f = Mutex.protect t.mutex f
 
 let note_request t = locked t (fun () -> t.requests <- t.requests + 1)
 let note_shed t = locked t (fun () -> t.sheds <- t.sheds + 1)
@@ -156,12 +116,7 @@ let note_error t = locked t (fun () -> t.errors <- t.errors + 1)
 
 let record_time t dt =
   locked t (fun () ->
-      if t.ntimes = Array.length t.times then begin
-        let bigger = Array.make (2 * t.ntimes) 0. in
-        Array.blit t.times 0 bigger 0 t.ntimes;
-        t.times <- bigger
-      end;
-      t.times.(t.ntimes) <- dt;
+      t.times.(t.ntimes mod window) <- dt;
       t.ntimes <- t.ntimes + 1)
 
 (* --- evaluation --------------------------------------------------------------- *)
@@ -307,10 +262,6 @@ let compute_survive (d : P.design) ~steps ~fseed ~rates ~canon =
       ("overloaded_steps", jint summary.Cold_sim.Failure.overloaded_steps);
     ]
 
-let design_of_job = function
-  | P.Synth { design; _ } | P.Ensemble { design; _ } | P.Survive { design; _ }
-    -> design
-
 let compute job ~canon =
   match job with
   | P.Synth { design; format } -> compute_synth design format
@@ -321,21 +272,14 @@ let compute job ~canon =
 let respond t job =
   let t0 = t.now () in
   locked t (fun () -> t.jobs <- t.jobs + 1);
+  let canon = P.canonical_job job in
   let result =
-    let d = design_of_job job in
-    let canon = P.canonical_job job in
-    (* The fingerprinted context is a throwaway: the computation re-derives
-       its own from the same seed, so fingerprinting cannot perturb the
-       stream a cached and an uncached run consume. *)
-    let ctx, _rng = context_and_rng d in
-    let ctx_fp = context_fingerprint ctx in
-    let key = cache_key ~ctx_fp ~canon ~seed:d.P.seed in
-    match cache_find t.cache ~key ~canon ~ctx_fp with
+    match cache_find t.cache canon with
     | Some payload -> Ok payload
     | None -> (
       match compute job ~canon with
       | payload ->
-        cache_store t.cache ~key ~canon ~ctx_fp payload;
+        cache_store t.cache canon payload;
         Ok payload
       | exception exn ->
         locked t (fun () -> t.errors <- t.errors + 1);
@@ -348,99 +292,116 @@ let handle_batch t jobs = Par.map_array t.pool (respond t) jobs
 
 (* --- stats -------------------------------------------------------------------- *)
 
-let cache_entries t =
-  Mutex.lock t.cache.cmutex;
-  let e = t.cache.entries in
-  Mutex.unlock t.cache.cmutex;
-  e
+let cache_entries t = Mutex.protect t.cache.cmutex (fun () -> t.cache.entries)
 
 (* --- cache persistence ---------------------------------------------------------
 
    A dumped cache is a deterministic function of the cache contents: a
    one-line header, then one length-prefixed record per occupied slot in
-   ascending slot order. Payloads are stored verbatim — restore hands back
-   the exact bytes the original computation produced, so replay from a
-   reloaded cache stays bit-exact. The record carries the full 64-bit key,
-   so a restore into a different capacity just re-slots each entry. *)
+   ascending slot order. Payloads are stored verbatim, so replay from a
+   reloaded cache stays bit-exact, and each record's slot is re-derived
+   from its canonical string, so a restore into another capacity re-slots
+   it. The header carries [reference_digest]: a file written by a build
+   whose answers differ restores nothing. *)
+
+(* Three tiny fixed jobs, one per verb. The digest of their canonical
+   strings and payloads stands for the build's answers, so it is computed
+   only when a dump is written or read, and at most once per service. *)
+let reference_jobs =
+  [ "synth ref n=6 seed=1 gens=2 pop=4 perms=1";
+    "ensemble ref n=6 seed=1 gens=2 pop=4 perms=1 count=2";
+    "survive ref n=6 seed=1 gens=2 pop=4 perms=1 steps=4" ]
+
+let reference_digest t =
+  locked t (fun () ->
+      match t.reference with
+      | Some d -> d
+      | None ->
+        let fold h line =
+          match P.parse line with
+          | Ok { P.body = P.Job job; _ } ->
+            let canon = P.canonical_job job in
+            fnv1a (fnv1a h canon) (compute job ~canon)
+          | _ -> invalid_arg ("Service: bad reference job " ^ line)
+        in
+        let d =
+          Printf.sprintf "%016Lx" (List.fold_left fold fnv_offset reference_jobs)
+        in
+        t.reference <- Some d;
+        d)
 
 let dump_cache t =
   let c = t.cache in
-  Mutex.lock c.cmutex;
-  let entries = List.filter_map Fun.id (Array.to_list c.slots) in
-  Mutex.unlock c.cmutex;
+  let entries =
+    Mutex.protect c.cmutex (fun () -> List.filter_map Fun.id (Array.to_list c.slots))
+  in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "coldserve-cache 1 %d\n" (List.length entries));
+  Printf.bprintf buf "coldserve-cache 2 %s %d\n" (reference_digest t)
+    (List.length entries);
   List.iter
     (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%Lx %Lx %d %d\n" e.key e.ctx_fp
-           (String.length e.canon) (String.length e.payload));
-      Buffer.add_string buf e.canon;
-      Buffer.add_string buf e.payload;
-      Buffer.add_char buf '\n')
+      Printf.bprintf buf "%d %d\n%s%s\n" (String.length e.canon)
+        (String.length e.payload) e.canon e.payload)
     entries;
   Buffer.contents buf
 
-(* Internal early-exit for the restore parser; never escapes
+type restore_error = Malformed of string | Foreign_build
+
+(* Internal early exit for the restore parser; never escapes
    [restore_cache]. *)
-exception Malformed of string
+exception Restore of restore_error
 
 let restore_cache t s =
-  let bad what = raise (Malformed what) in
+  let bad what = raise (Restore (Malformed what)) in
   let len = String.length s in
   let pos = ref 0 in
   let restored = ref 0 in
+  let line () =
+    match String.index_from_opt s !pos '\n' with
+    | None -> bad "truncated"
+    | Some i ->
+      let l = String.sub s !pos (i - !pos) in
+      pos := i + 1;
+      l
+  in
+  let length what l =
+    match int_of_string_opt l with
+    | Some n when n >= 0 -> n
+    | _ -> bad ("bad " ^ what)
+  in
   match
-    let line () =
-      match String.index_from_opt s !pos '\n' with
-      | None -> bad "truncated"
-      | Some i ->
-        let l = String.sub s !pos (i - !pos) in
-        pos := i + 1;
-        l
-    in
     let count =
       match String.split_on_char ' ' (line ()) with
-      | [ "coldserve-cache"; "1"; c ] -> (
-        match int_of_string_opt c with
-        | Some c when c >= 0 -> c
-        | _ -> bad "bad count")
+      | [ "coldserve-cache"; "2"; digest; count ] ->
+        if not (String.equal digest (reference_digest t)) then
+          raise (Restore Foreign_build);
+        length "count" count
+      | "coldserve-cache" :: version :: _ when not (String.equal version "2") ->
+        raise (Restore Foreign_build)
       | _ -> bad "bad header"
     in
     for _ = 1 to count do
       match String.split_on_char ' ' (line ()) with
-      | [ key; fp; clen; plen ] ->
-        let parse_hex what h =
-          match Int64.of_string_opt ("0x" ^ h) with
-          | Some x -> x
-          | None -> bad ("bad " ^ what)
-        in
-        let parse_len what l =
-          match int_of_string_opt l with
-          | Some n when n >= 0 -> n
-          | _ -> bad ("bad " ^ what)
-        in
-        let key = parse_hex "key" key in
-        let ctx_fp = parse_hex "fingerprint" fp in
-        let clen = parse_len "canon length" clen in
-        let plen = parse_len "payload length" plen in
-        if len - !pos < clen + plen + 1 then bad "truncated record";
+      | [ clen; plen ] ->
+        let clen = length "canon length" clen in
+        let plen = length "payload length" plen in
+        (* Compared without adding, so lengths near max_int cannot wrap. *)
+        if clen > len - !pos || plen > len - !pos - clen - 1 then
+          bad "truncated record";
         let canon = String.sub s !pos clen in
-        pos := !pos + clen;
-        let payload = String.sub s !pos plen in
-        pos := !pos + plen;
+        let payload = String.sub s (!pos + clen) plen in
+        pos := !pos + clen + plen;
         if s.[!pos] <> '\n' then bad "missing record terminator";
         incr pos;
         if Array.length t.cache.slots > 0 then begin
-          cache_store t.cache ~key ~canon ~ctx_fp payload;
+          cache_store t.cache canon payload;
           incr restored
         end
       | _ -> bad "bad record header"
     done
   with
   | () -> Ok !restored
-  | exception Malformed what -> Error what
+  | exception Restore e -> Error e
 
 let percentile sorted q =
   let n = Array.length sorted in
@@ -454,15 +415,13 @@ let stats_json t ~queue_depth =
           t.jobs,
           t.sheds,
           t.errors,
-          Array.sub t.times 0 t.ntimes ))
+          Array.sub t.times 0 (min t.ntimes window) ))
   in
   Array.sort Float.compare times;
   let hits, misses, entries, capacity =
     let c = t.cache in
-    Mutex.lock c.cmutex;
-    let r = (c.hits, c.misses, c.entries, Array.length c.slots) in
-    Mutex.unlock c.cmutex;
-    r
+    Mutex.protect c.cmutex (fun () ->
+        (c.hits, c.misses, c.entries, Array.length c.slots))
   in
   let fill =
     if capacity = 0 then 0.

@@ -12,16 +12,17 @@
     them identically — request-level replay is bit-exact, at any pool
     size.
 
-    {b The request cache} is keyed by (context fingerprint, params digest,
-    seed): the fingerprint is FNV-1a over the generated context's PoP
-    coordinates and traffic populations (the same machinery as
-    {!Cold_graph.Graph.fingerprint} / {!Cold.Fitness_cache}), the
-    digest is FNV-1a over the canonical request key
-    ({!Protocol.canonical_job}). Slots are direct-mapped like
-    {!Cold.Fitness_cache}; every hit is confirmed against the stored
-    canonical key, so a digest collision can never replay the wrong
-    response. All cache and counter state is mutex-guarded — safe from
-    every domain of the evaluation pool. *)
+    {b The request cache} is keyed by the canonical job
+    ({!Protocol.canonical_job}) alone. A job's context is drawn from its
+    [n] and [seed], both in that string, and the design is a
+    deterministic function of the context, so the string names the whole
+    computation: a hit hashes it (FNV-1a, the family of
+    {!Cold_graph.Graph.fingerprint}) and checks one slot, and generates
+    nothing. Slots are direct-mapped like {!Cold.Fitness_cache}; every
+    hit is confirmed against the stored canonical string, so a key
+    collision can never replay the wrong response. All cache and counter
+    state is mutex-guarded — safe from every domain of the evaluation
+    pool. *)
 
 type t
 
@@ -64,24 +65,39 @@ val cache_entries : t -> int
 
 val dump_cache : t -> string
 (** Serialize every occupied replay-cache slot (ascending slot order) into
-    a deterministic, restart-stable format: a versioned header line, then
-    one length-prefixed record per entry carrying the 64-bit cache key,
-    the context fingerprint, the canonical request key and the verbatim
-    payload bytes. Same cache contents, same bytes. *)
+    a deterministic, restart-stable format: the header
+    [coldserve-cache 2 <digest> <count>], then one record per entry, a
+    line [<canon length> <payload length>] followed by the canonical
+    request key, the verbatim payload bytes and a newline. [<digest>] is
+    the reference digest: 16 hex digits of FNV-1a over the canonical keys
+    and payloads of three tiny fixed jobs, one per verb, which stands for
+    the answers of the build that wrote the file. It is computed at most
+    once per service, on the first dump or restore. Same cache contents,
+    same bytes. *)
 
-val restore_cache : t -> string -> (int, string) result
-(** [restore_cache t dump] re-inserts every record of a {!dump_cache}
-    string into the cache, re-slotting by stored key (so the capacity may
-    differ from the dumping run's), and returns [Ok n] with the number of
-    entries inserted — [0] when the cache is disabled. Hits against
-    restored entries return the original payload bytes verbatim,
-    preserving the bit-exact replay contract across restarts.
-    [Error what] describes a malformed dump; the cache retains whatever
-    was inserted before the malformation was hit. *)
+type restore_error =
+  | Malformed of string  (** Not a well-formed dump; names what broke. *)
+  | Foreign_build
+      (** Written by another build: a format-1 header, another format
+          version, or a reference digest this build does not reproduce.
+          Nothing is restored. *)
+
+val restore_cache : t -> string -> (int, restore_error) result
+(** [restore_cache t dump] checks the header's reference digest against
+    this build's before it reads any record, then re-inserts every record
+    of a {!dump_cache} string into the cache, re-deriving each slot from
+    the record's canonical key (so the capacity may differ from the
+    dumping run's), and returns [Ok n] with the number of entries
+    inserted — [0] when the cache is disabled. Hits against restored
+    entries return the dumped payload bytes verbatim, preserving the
+    bit-exact replay contract across restarts. [Error Foreign_build]
+    restores nothing. [Error (Malformed what)] leaves in the cache
+    whatever was inserted before the malformation was hit. Never raises. *)
 
 val stats_json : t -> queue_depth:int -> string
 (** The [stats] payload: requests/jobs/hits/misses/sheds/errors counters,
-    cache occupancy and fill fraction, p50/p99 service time (ms), current
+    cache occupancy and fill fraction, p50/p99 service time (ms) over the
+    last 4096 jobs (a fixed ring, so the record never grows), current
     queue depth and pool size, as one flat JSON object. Not cached, not
     part of the determinism contract. *)
 

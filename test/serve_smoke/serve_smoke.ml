@@ -189,6 +189,31 @@ let () =
       let stats = expect_ok c "stats st4" in
       if counter stats "hits" < 1 then fail "restored entry missed the cache";
       close_client c);
+  (* A file from another build (one digit of its reference digest changed)
+     and one whose record lengths overflow: each restart comes up, restores
+     nothing and recomputes the same bytes. *)
+  let dump = In_channel.with_open_bin cache_path In_channel.input_all in
+  let header = List.hd (String.split_on_char '\n' dump) in
+  let digit = String.length "coldserve-cache 2 " in
+  let tampered =
+    String.mapi (fun j c -> if j <> digit then c else if c = '0' then '1' else '0') dump
+  in
+  let overflow =
+    Printf.sprintf "%s 1\n%d 1\nxx\n"
+      (String.sub header 0 (String.rindex header ' ')) max_int
+  in
+  List.iter
+    (fun (what, contents) ->
+      Out_channel.with_open_bin cache_path (fun oc -> output_string oc contents);
+      with_server pcfg (fun port ->
+          let c = connect port in
+          let stats = expect_ok c "stats st5" in
+          if counter stats "cache_entries" <> 0 then fail "%s file restored" what;
+          let replay = expect_ok c (synth ~id:"p3" ~seed:9 "edges") in
+          if replay <> persisted then fail "replay after %s file differs" what;
+          close_client c))
+    [ ("tampered-digest", tampered); ("overflow", overflow) ];
   Sys.remove cache_path;
   print_endline
-    "serve smoke passed: miss/hit/shed/drain + byte-exact replay (incl. cache restart)"
+    "serve smoke passed: miss/hit/shed/drain + byte-exact replay (incl. cache \
+     restart, foreign and overflowing cache files)"

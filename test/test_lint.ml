@@ -42,7 +42,7 @@ let test_no_wall_clock () =
   Alcotest.(check (list string))
     "bench exempt" []
     (rules_fired
-       (Engine.check_source ~only:[ "no-wall-clock" ] ~path:"bench/micro.ml"
+       (Engine.check_source ~only:[ "no-wall-clock" ] ~path:"bench/main.ml"
           "let t = Unix.gettimeofday ()"));
   (* lib/serve is exempt too: the daemon times service for its stats. *)
   Alcotest.(check (list string))

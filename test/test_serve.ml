@@ -143,11 +143,29 @@ let test_service_replay_across_domains () =
                 cold (respond_exn svc2 job))))
     [ 1; 2; 4; 8 ]
 
+(* The value of [name] in a service's flat stats JSON. *)
+let stats_field svc name =
+  let stats = Service.stats_json svc ~queue_depth:0 in
+  let pat = Printf.sprintf "%S:" name in
+  let rec find i =
+    if i + String.length pat > String.length stats then
+      Alcotest.failf "stats missing %s in %s" name stats
+    else if String.sub stats i (String.length pat) = pat then i + String.length pat
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while not (String.contains ",}" stats.[!stop]) do
+    incr stop
+  done;
+  String.sub stats start (!stop - start)
+
+let with_service ?(cache_slots = 64) ?now f =
+  let svc = Service.create ~domains:1 ~cache_slots ?now () in
+  Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> f svc)
+
 let test_service_formats_and_cache () =
-  let svc = Service.create ~domains:1 ~cache_slots:64 () in
-  Fun.protect
-    ~finally:(fun () -> Service.shutdown svc)
-    (fun () ->
+  with_service (fun svc ->
       let edges = respond_exn svc (synth_job ~format:P.Edges ()) in
       let gml = respond_exn svc (synth_job ~format:P.Gml ()) in
       let summary = respond_exn svc (synth_job ~format:P.Summary ()) in
@@ -158,15 +176,129 @@ let test_service_formats_and_cache () =
       (* Three formats of the same design are three cache entries. *)
       Alcotest.(check int) "entries" 3 (Service.cache_entries svc);
       ignore (respond_exn svc (synth_job ~format:P.Edges ()));
-      let stats = Service.stats_json svc ~queue_depth:0 in
-      Alcotest.(check bool) "stats counts a hit" true
-        (let needle = "\"hits\":1" in
-         let rec find i =
-           i + String.length needle <= String.length stats
-           && (String.sub stats i (String.length needle) = needle
-              || find (i + 1))
-         in
-         find 0))
+      Alcotest.(check string) "stats counts a hit" "1" (stats_field svc "hits"))
+
+(* p50/p99 cover the last 4096 jobs only: 904 one-second jobs, then 4096
+   jobs of 2^-10 s each, timed by a clock that advances one step per read. *)
+let test_stats_window () =
+  let clock = ref 0. and step = ref 1. in
+  let now () =
+    let c = !clock in
+    clock := c +. !step;
+    c
+  in
+  with_service ~now (fun svc ->
+      let run k =
+        for _ = 1 to k do
+          ignore (respond_exn svc (synth_job ~n:4 ()))
+        done
+      in
+      run 904;
+      step := 0x1p-10;
+      run 100;
+      Alcotest.(check string) "slow jobs inside the window" "1000.0"
+        (stats_field svc "p99_ms");
+      run 3996;
+      Alcotest.(check string) "jobs" "5000" (stats_field svc "jobs");
+      Alcotest.(check string) "p50 over the window" "0.9765625"
+        (stats_field svc "p50_ms");
+      Alcotest.(check string) "p99 over the window" "0.9765625"
+        (stats_field svc "p99_ms"))
+
+(* --- cache persistence --------------------------------------------------------- *)
+
+let job_of line =
+  match P.parse line with
+  | Ok { P.body = P.Job j; _ } -> j
+  | _ -> Alcotest.failf "bad fixture line %S" line
+
+(* One job per verb, each computed in milliseconds. *)
+let dumped_jobs =
+  List.map job_of
+    [ "synth j n=8 seed=3 gens=3 pop=4 perms=1 format=edges";
+      "synth j n=8 seed=3 gens=3 pop=4 perms=1 format=gml";
+      "ensemble j n=6 seed=4 gens=2 pop=4 perms=1 count=2";
+      "survive j n=6 seed=5 gens=2 pop=4 perms=1 steps=3" ]
+
+(* The dump of a 64-slot service that computed [jobs], and their payloads. *)
+let dump_of jobs =
+  with_service (fun svc ->
+      let payloads = List.map (respond_exn svc) jobs in
+      Alcotest.(check int) "one slot per job" (List.length jobs)
+        (Service.cache_entries svc);
+      (Service.dump_cache svc, payloads))
+
+(* The header line of [dump] with its record count set to [k]. *)
+let header_of dump k =
+  let line = List.hd (String.split_on_char '\n' dump) in
+  Printf.sprintf "%s %d\n" (String.sub line 0 (String.rindex line ' ')) k
+
+(* Records whose lengths sum past max_int, so [clen + plen + 1] wraps. *)
+let overflow_records =
+  [ Printf.sprintf "%d 1\nxx\n" max_int; Printf.sprintf "1 %d\nxx\n" max_int ]
+
+let test_restore_other_capacity () =
+  let dump, payloads = dump_of dumped_jobs in
+  with_service ~cache_slots:1021 (fun svc ->
+      (match Service.restore_cache svc dump with
+       | Ok k -> Alcotest.(check int) "restored" (List.length dumped_jobs) k
+       | Error _ -> Alcotest.fail "refused a dump of its own build");
+      List.iter2
+        (fun job payload ->
+          Alcotest.(check string) "dumped bytes" payload (respond_exn svc job))
+        dumped_jobs payloads;
+      Alcotest.(check string) "every job a hit" "4" (stats_field svc "hits");
+      Alcotest.(check string) "no miss" "0" (stats_field svc "misses"))
+
+(* A file from another build restores nothing; its jobs compute as misses,
+   to the bytes this build produces. *)
+let check_foreign what dump payloads =
+  with_service (fun svc ->
+      (match Service.restore_cache svc dump with
+       | Error Service.Foreign_build -> ()
+       | Ok k -> Alcotest.failf "%s: restored %d entries" what k
+       | Error (Service.Malformed m) -> Alcotest.failf "%s: malformed (%s)" what m);
+      Alcotest.(check int) (what ^ ": nothing restored") 0
+        (Service.cache_entries svc);
+      List.iter2
+        (fun job payload ->
+          Alcotest.(check string) (what ^ ": recomputed bytes") payload
+            (respond_exn svc job))
+        dumped_jobs payloads;
+      Alcotest.(check string) (what ^ ": no hit") "0" (stats_field svc "hits"))
+
+let test_restore_tampered_digest () =
+  let dump, payloads = dump_of dumped_jobs in
+  let i = String.length "coldserve-cache 2 " in
+  let tampered =
+    String.mapi (fun j c -> if j <> i then c else if c = '0' then '1' else '0') dump
+  in
+  check_foreign "tampered digest" tampered payloads
+
+let test_restore_version_1 () =
+  let _, payloads = dump_of dumped_jobs in
+  let v1 = Buffer.create 1024 in
+  Printf.bprintf v1 "coldserve-cache 1 %d\n" (List.length dumped_jobs);
+  List.iteri
+    (fun i job ->
+      let canon = P.canonical_job job in
+      Printf.bprintf v1 "%x %x %d 6\n%sstale\n\n" i i (String.length canon) canon)
+    dumped_jobs;
+  check_foreign "version-1 dump" (Buffer.contents v1) payloads
+
+let test_restore_overflow () =
+  let header = header_of (fst (dump_of [])) 1 in
+  with_service (fun svc ->
+      List.iter
+        (fun record ->
+          match Service.restore_cache svc (header ^ record) with
+          | Error (Service.Malformed _) -> ()
+          | Ok _ | Error Service.Foreign_build ->
+            Alcotest.failf "record %S accepted" record
+          | exception e ->
+            Alcotest.failf "record %S raised %s" record (Printexc.to_string e))
+        overflow_records;
+      Alcotest.(check int) "nothing restored" 0 (Service.cache_entries svc))
 
 (* --- wire-level robustness ----------------------------------------------------- *)
 
@@ -450,7 +582,8 @@ let fuzz_restore =
   ignore (respond_exn svc (synth_job ~n:4 ()));
   ignore (respond_exn svc (synth_job ~format:P.Summary ~n:5 ()));
   let dump = Service.dump_cache svc in
-  Fuzz.never_raises ~name:"restore fuzz" ~count:2000 [ dump ] (fun s ->
+  let overflows = List.map (( ^ ) (header_of dump 1)) overflow_records in
+  Fuzz.never_raises ~name:"restore fuzz" ~count:2000 (dump :: overflows) (fun s ->
       ignore (Service.restore_cache svc s))
 
 let () =
@@ -470,6 +603,15 @@ let () =
             test_service_replay_across_domains;
           Alcotest.test_case "formats and cache" `Quick
             test_service_formats_and_cache;
+          Alcotest.test_case "stats window" `Quick test_stats_window;
+          Alcotest.test_case "restore into another capacity" `Quick
+            test_restore_other_capacity;
+          Alcotest.test_case "restore tampered digest" `Quick
+            test_restore_tampered_digest;
+          Alcotest.test_case "restore version-1 dump" `Quick
+            test_restore_version_1;
+          Alcotest.test_case "restore overflowing lengths" `Quick
+            test_restore_overflow;
           fuzz_restore;
         ] );
       ( "wire",
