@@ -25,24 +25,8 @@ let trials = match scale with Smoke -> 2 | Quick -> 5 | Full -> 20
 
 let ga_settings =
   match scale with
-  | Smoke ->
-    {
-      Cold.Ga.default_settings with
-      Cold.Ga.population_size = 30;
-      generations = 20;
-      num_saved = 6;
-      num_crossover = 15;
-      num_mutation = 9;
-    }
-  | Quick ->
-    {
-      Cold.Ga.default_settings with
-      Cold.Ga.population_size = 50;
-      generations = 50;
-      num_saved = 10;
-      num_crossover = 25;
-      num_mutation = 15;
-    }
+  | Smoke -> Cold.Ga.settings_for ~population:30 ~generations:20
+  | Quick -> Cold.Ga.settings_for ~population:50 ~generations:50
   | Full -> Cold.Ga.default_settings (* T = M = 100, as in §5 *)
 
 let heuristic_permutations = match scale with Smoke -> 2 | Quick -> 3 | Full -> 10

@@ -10,7 +10,6 @@ module Prng = Cold_prng.Prng
 module Context = Cold_context.Context
 module Cost = Cold.Cost
 module Incremental = Cold_net.Incremental
-module Local_search = Cold.Local_search
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -50,26 +49,6 @@ let check_trajectory ~n ~steps =
     (float_of_int (Incremental.recomputed_trees st) /. float_of_int !evals)
     (float_of_int (Incremental.repaired_trees st) /. float_of_int !evals)
     n
-
-(* The incremental annealer against the from-scratch one on the same
-   trajectory. *)
-let check_local_search () =
-  let ctx = Context.generate (Context.default_spec ~n:12) (Prng.create 7) in
-  let params = Cost.params ~k2:2e-4 () in
-  let settings =
-    { Local_search.default_settings with Local_search.iterations = 400 }
-  in
-  let run incremental =
-    Local_search.run ~incremental settings params ctx (Prng.create 8)
-  in
-  let full = run false and inc = run true in
-  if not (bits_equal full.Local_search.best_cost inc.Local_search.best_cost)
-  then
-    fail "local search diverged: full %h vs incremental %h"
-      full.Local_search.best_cost inc.Local_search.best_cost;
-  if full.Local_search.accepted <> inc.Local_search.accepted then
-    fail "local search accepted counts diverged";
-  Printf.printf "smoke local search: full and incremental bit-identical\n%!"
 
 (* Failure replay: a short trace evaluated sequentially and fanned out must
    agree bit for bit, and the empty failure set must reproduce the baseline
@@ -113,7 +92,6 @@ let () =
   let (), elapsed =
     Bench_config.timed (fun () ->
         check_trajectory ~n:24 ~steps:150;
-        check_local_search ();
         check_failure ())
   in
   Printf.printf "bench smoke passed in %.1fs\n" elapsed

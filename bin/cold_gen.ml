@@ -151,20 +151,9 @@ let params_of ?preset ~k0 ~k2 ~k3 () =
 
 let config_of ?preset ?(domains = 1) ~k0 ~k2 ~k3 ~generations ~population () =
   let params = params_of ?preset ~k0 ~k2 ~k3 () in
-  let saved = max 1 (population / 5) in
-  let crossover = max 1 (population / 2) in
-  let mutation = max 0 (population - saved - crossover) in
   {
     (Cold.Synthesis.default_config ~params ()) with
-    Cold.Synthesis.ga =
-      {
-        Cold.Ga.default_settings with
-        Cold.Ga.population_size = population;
-        generations;
-        num_saved = saved;
-        num_crossover = crossover;
-        num_mutation = mutation;
-      };
+    Cold.Synthesis.ga = Cold.Ga.settings_for ~population ~generations;
     domains;
   }
 
@@ -399,8 +388,13 @@ let input_arg =
   Arg.(required & opt (some file) None & info [ "i"; "input" ] ~docv:"FILE" ~doc)
 
 let trials_arg =
-  let doc = "ABC simulation budget." in
-  Arg.(value & opt (int_at_least 1) 200 & info [ "trials" ] ~docv:"TRIALS" ~doc)
+  let doc =
+    Printf.sprintf
+      "ABC simulation budget: each trial synthesizes one network (at most %d)."
+      Limits.max_count
+  in
+  Arg.(value & opt (int_between 1 Limits.max_count) 200
+       & info [ "trials" ] ~docv:"TRIALS" ~doc)
 
 let epsilon_arg =
   let doc = "ABC acceptance threshold (normalized statistic distance)." in
@@ -420,6 +414,12 @@ let fit input seed trials epsilon domains =
         (Cold_netio.Parse_error.to_string e);
       exit 1
   in
+  let n = Cold_graph.Graph.node_count g in
+  if n < 2 then begin
+    Printf.eprintf "cold fit: cannot fit %s: ABC needs at least 2 PoPs, got %d\n"
+      input n;
+    exit 1
+  end;
   let obs = Cold.Abc.observe g in
   Printf.printf
     "observed: n=%d avg degree %.2f, clustering %.3f, CVND %.2f, diameter %.0f\n\

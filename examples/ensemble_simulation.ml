@@ -12,15 +12,7 @@
 module Network = Cold_net.Network
 module Context = Cold_context.Context
 
-let settings =
-  {
-    Cold.Ga.default_settings with
-    Cold.Ga.population_size = 40;
-    generations = 40;
-    num_saved = 8;
-    num_crossover = 20;
-    num_mutation = 12;
-  }
+let settings = Cold.Ga.settings_for ~population:40 ~generations:40
 
 (* Fraction of total traffic stranded when the worst link fails — the
    resilience library does the failure analysis. *)

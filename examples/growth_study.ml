@@ -10,15 +10,7 @@ module Context = Cold_context.Context
 module Summary = Cold_metrics.Summary
 module Network = Cold_net.Network
 
-let settings =
-  {
-    Cold.Ga.default_settings with
-    Cold.Ga.population_size = 40;
-    generations = 40;
-    num_saved = 8;
-    num_crossover = 20;
-    num_mutation = 12;
-  }
+let settings = Cold.Ga.settings_for ~population:40 ~generations:40
 
 let design ~n ~traffic_multiplier ~seed =
   (* A young network in a burgeoning market: connectivity as cheaply as

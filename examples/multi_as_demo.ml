@@ -18,15 +18,7 @@ let () =
              ~params:(Cold.Cost.params ~k2:2e-4 ~k3:20.0 ())
              ())
           with
-          Cold.Synthesis.ga =
-            {
-              Cold.Ga.default_settings with
-              Cold.Ga.population_size = 30;
-              generations = 30;
-              num_saved = 6;
-              num_crossover = 15;
-              num_mutation = 9;
-            };
+          Cold.Synthesis.ga = Cold.Ga.settings_for ~population:30 ~generations:30;
           heuristic_permutations = 2;
         };
       presence = 0.55;

@@ -11,15 +11,7 @@ module Context = Cold_context.Context
 module Flow_sim = Cold_sim.Flow_sim
 module Prng = Cold_prng.Prng
 
-let settings =
-  {
-    Cold.Ga.default_settings with
-    Cold.Ga.population_size = 40;
-    generations = 40;
-    num_saved = 8;
-    num_crossover = 20;
-    num_mutation = 12;
-  }
+let settings = Cold.Ga.settings_for ~population:40 ~generations:40
 
 let sim_config = { Flow_sim.default_config with Flow_sim.load = 1.5; flow_limit = 400 }
 

@@ -15,15 +15,7 @@ let () =
   let cfg =
     {
       (Cold.Synthesis.default_config ~params ()) with
-      Cold.Synthesis.ga =
-        {
-          Cold.Ga.default_settings with
-          Cold.Ga.population_size = 40;
-          generations = 40;
-          num_saved = 8;
-          num_crossover = 20;
-          num_mutation = 12;
-        };
+      Cold.Synthesis.ga = Cold.Ga.settings_for ~population:40 ~generations:40;
       heuristic_permutations = 3;
     }
   in

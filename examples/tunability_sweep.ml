@@ -10,14 +10,7 @@ module Summary = Cold_metrics.Summary
 
 let settings =
   (* A lighter GA than the paper's M = T = 100 keeps this example snappy. *)
-  {
-    Cold.Ga.default_settings with
-    Cold.Ga.population_size = 40;
-    generations = 40;
-    num_saved = 8;
-    num_crossover = 20;
-    num_mutation = 12;
-  }
+  Cold.Ga.settings_for ~population:40 ~generations:40
 
 let synthesize ~k2 ~k3 ~seed =
   let params = Cold.Cost.params ~k2 ~k3 () in

@@ -9,15 +9,7 @@ module Context = Cold_context.Context
 module Summary = Cold_metrics.Summary
 module D = Cold_stats.Descriptive
 
-let settings =
-  {
-    Cold.Ga.default_settings with
-    Cold.Ga.population_size = 40;
-    generations = 40;
-    num_saved = 8;
-    num_crossover = 20;
-    num_mutation = 12;
-  }
+let settings = Cold.Ga.settings_for ~population:40 ~generations:40
 
 let ensemble_stats preset =
   let cfg =

@@ -63,15 +63,7 @@ let dk_input n =
 
 (* Reduced COLD settings: the table needs many runs, not paper-scale
    optimization quality. *)
-let cold_settings =
-  {
-    Cold.Ga.default_settings with
-    Cold.Ga.population_size = 40;
-    generations = 30;
-    num_saved = 8;
-    num_crossover = 20;
-    num_mutation = 12;
-  }
+let cold_settings = Cold.Ga.settings_for ~population:40 ~generations:30
 
 let cold_graph ~n ~k2 rng =
   let ctx = Context.generate (Context.default_spec ~n) rng in

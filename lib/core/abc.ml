@@ -51,15 +51,7 @@ let distance obs sim =
     +. term obs.diameter sim.diameter)
   /. 2.0
 
-let reduced_ga =
-  {
-    Ga.default_settings with
-    Ga.population_size = 40;
-    generations = 40;
-    num_saved = 8;
-    num_crossover = 20;
-    num_mutation = 12;
-  }
+let reduced_ga = Ga.settings_for ~population:40 ~generations:40
 
 (* The paper fixes k1 as the unit of cost; ABC infers only k0, k2, k3. *)
 let unit_k1 = 1.0

@@ -16,9 +16,10 @@
     Two evaluation routes produce bit-identical scores: the stateless oracle
     {!evaluate} (route from scratch) and the stateful {!evaluate_state}
     (repair only what an edge flip affected — see {!Cold_net.Incremental}).
-    The GA, heuristic seeding and brute force use the former; simulated
-    annealing ({!Local_search}) uses the latter, and tests hold it to the
-    former. *)
+    The GA, heuristic seeding, brute force and simulated annealing
+    ({!Local_search}) use the former. The latter is reached only from
+    tests, the bench smoke check and the end-to-end benchmark's probes,
+    which hold it to the former. *)
 
 type params = {
   k0 : float;  (** Per-link existence cost. Dominant ⇒ spanning trees. *)

@@ -17,7 +17,7 @@ let finish networks =
 (* Members already draw from per-trial child PRNG streams (split_at), so
    each trial is a self-contained synthesis task: one context + GA per pool
    slot, results landing in trial order whatever domain ran them. *)
-let generate ?(domains = 1) ?(on_progress = fun _ -> ()) cfg spec ~count ~seed =
+let generate ?(domains = 1) cfg spec ~count ~seed =
   if count < 0 then invalid_arg "Ensemble.generate";
   let root = Prng.create seed in
   let trials = Array.init count (fun i -> i) in
@@ -27,9 +27,7 @@ let generate ?(domains = 1) ?(on_progress = fun _ -> ()) cfg spec ~count ~seed =
           (fun i ->
             let rng = Prng.split_at root i in
             let ctx = Context.generate spec rng in
-            let net = Synthesis.design cfg ctx rng in
-            on_progress i;
-            net)
+            Synthesis.design cfg ctx rng)
           trials)
   in
   finish networks

@@ -14,22 +14,19 @@ type t = {
 
 val generate :
   ?domains:int ->
-  ?on_progress:(int -> unit) ->
   Synthesis.config ->
   Cold_context.Context.spec ->
   count:int ->
   seed:int ->
   t
 (** [generate cfg spec ~count ~seed] synthesizes [count] networks.
-    [on_progress i] is called after network [i] completes.
 
     [?domains] (default 1; 0 autodetects) spreads whole member syntheses
     across a domain pool — one context + GA per task. Members were already
     independent (per-trial split PRNG streams), so the ensemble is
-    bit-identical at every setting. With [domains > 1], [on_progress] runs
-    on worker domains and completion order is not trial order; keep inner
-    GA parallelism ([cfg.domains]) at 1 unless the ensemble is smaller
-    than the machine. *)
+    bit-identical at every setting. Keep inner GA parallelism
+    ([cfg.domains]) at 1 unless the ensemble is smaller than the
+    machine. *)
 
 val same_context :
   ?domains:int ->

@@ -25,15 +25,7 @@ let default_config ?(params = Cost.params ()) () =
   {
     params;
     decommission_cost = 50.0;
-    ga =
-      {
-        Ga.default_settings with
-        Ga.population_size = 50;
-        generations = 50;
-        num_saved = 10;
-        num_crossover = 25;
-        num_mutation = 15;
-      };
+    ga = Ga.settings_for ~population:50 ~generations:50;
   }
 
 let greenfield cfg ctx rng =

@@ -26,18 +26,22 @@ type result = {
   cache_misses : int;
 }
 
-let default_settings =
+let settings_for ~population ~generations =
+  let saved = max 1 (population / 5) in
+  let crossover = max 1 (population / 2) in
   {
-    population_size = 100;
-    generations = 100;
-    num_saved = 20;
-    num_crossover = 50;
-    num_mutation = 30;
+    population_size = population;
+    generations;
+    num_saved = saved;
+    num_crossover = crossover;
+    num_mutation = max 0 (population - saved - crossover);
     tournament_pool = 10;
     tournament_winners = 2;
     node_mutation_prob = 0.5;
     init_edge_factor = 1.5;
   }
+
+let default_settings = settings_for ~population:100 ~generations:100
 
 let default_cache_slots = 1024
 

@@ -47,7 +47,16 @@ type result = {
   cache_misses : int;  (** Evaluations that ran the objective. *)
 }
 
+val settings_for : population:int -> generations:int -> settings
+(** [settings_for ~population ~generations] has M = [population] and
+    T = [generations], the other fields at their defaults, and splits the
+    population as ([num_saved], [num_crossover], [num_mutation]) =
+    (max 1 (M/5), max 1 (M/2), the rest): 20/50/30 at M = 100, 8/20/12 at
+    M = 40. The split is valid for every M ≥ 2. *)
+
 val default_settings : settings
+(** [settings_for ~population:100 ~generations:100], the paper's
+    T = M = 100. *)
 
 val default_cache_slots : int
 (** Default size of the per-run fitness memo (1024 direct-mapped slots). *)

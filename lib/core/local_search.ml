@@ -2,7 +2,6 @@ module Graph = Cold_graph.Graph
 module Prng = Cold_prng.Prng
 module Dist = Cold_prng.Dist
 module Context = Cold_context.Context
-module Incremental = Cold_net.Incremental
 
 type settings = {
   iterations : int;
@@ -53,7 +52,7 @@ let propose ctx ~into g rng ~node_move_prob =
   end;
   candidate
 
-let run ?(incremental = true) ?initial settings params ctx rng =
+let run ?initial settings params ctx rng =
   if settings.iterations < 0 then invalid_arg "Local_search.run: negative iterations";
   if settings.cooling <= 0.0 || settings.cooling > 1.0 then
     invalid_arg "Local_search.run: cooling must be in (0, 1]";
@@ -75,96 +74,45 @@ let run ?(incremental = true) ?initial settings params ctx rng =
   in
   let evaluations = ref 0 in
   let accepted = ref 0 in
-  if incremental then begin
-    (* Propose-on-state: the single-trajectory annealer is the ideal client
-       of the incremental engine — each candidate differs from the current
-       state by one or two edge flips (plus whatever repair touched), so
-       only the affected shortest-path trees are repaired. Accept commits
-       the flips; reject rolls them back. Costs, and therefore the whole
-       accept/reject trajectory, are bit-identical to the full-evaluation
-       loop below. *)
-    let st = Cost.state ctx start in
-    let evaluate_st () =
-      incr evaluations;
-      Cost.evaluate_state params ctx st
+  let evaluate g =
+    incr evaluations;
+    Cost.evaluate params ctx g
+  in
+  (* Double buffer: [current] and [scratch] swap on accept, so the whole
+     trajectory allocates two graphs total (plus one copy per new best)
+     instead of one per iteration. *)
+  let current = ref start in
+  let scratch = ref (Graph.create n) in
+  let current_cost = ref (evaluate !current) in
+  (* [best] must own its graph: [start]'s buffer enters the double-buffer
+     rotation on the first accept and would be overwritten underneath an
+     aliased best. *)
+  let best = ref (Graph.copy !current) in
+  let best_cost = ref !current_cost in
+  let temperature = ref (settings.initial_temperature *. !current_cost) in
+  for _ = 1 to settings.iterations do
+    let candidate =
+      propose ctx ~into:!scratch !current rng
+        ~node_move_prob:settings.node_move_prob
     in
-    (* One scratch graph hosts every proposal; retarget transfers its edge
-       flips onto the persistent state, so the buffer is dead the moment the
-       evaluation returns — except when the candidate is a new best, which
-       takes the run's only per-improvement copy. *)
-    let scratch = Graph.create n in
-    let current_cost = ref (evaluate_st ()) in
-    let best = ref start in
-    let best_cost = ref !current_cost in
-    let temperature = ref (settings.initial_temperature *. !current_cost) in
-    for _ = 1 to settings.iterations do
-      let candidate =
-        propose ctx ~into:scratch (Incremental.graph st) rng
-          ~node_move_prob:settings.node_move_prob
-      in
-      ignore (Incremental.retarget st candidate);
-      let cost = evaluate_st () in
-      let delta = cost -. !current_cost in
-      let accept =
-        delta <= 0.0
-        || (!temperature > 0.0 && Prng.float rng < exp (-.delta /. !temperature))
-      in
-      if accept then begin
-        Incremental.commit st;
-        current_cost := cost;
-        incr accepted;
-        if cost < !best_cost then begin
-          best := Graph.copy candidate;
-          best_cost := cost
-        end
+    let cost = evaluate candidate in
+    let delta = cost -. !current_cost in
+    let accept =
+      delta <= 0.0
+      || (!temperature > 0.0 && Prng.float rng < exp (-.delta /. !temperature))
+    in
+    if accept then begin
+      let freed = !current in
+      current := candidate;
+      scratch := freed;
+      current_cost := cost;
+      incr accepted;
+      if cost < !best_cost then begin
+        best := Graph.copy candidate;
+        best_cost := cost
       end
-      else Incremental.rollback st;
-      temperature := !temperature *. settings.cooling
-    done;
-    { best = !best; best_cost = !best_cost; accepted = !accepted;
-      evaluations = !evaluations }
-  end
-  else begin
-    let evaluate g =
-      incr evaluations;
-      Cost.evaluate params ctx g
-    in
-    (* Double buffer: [current] and [scratch] swap on accept, so the whole
-       trajectory allocates two graphs total (plus one copy per new best)
-       instead of one per iteration. *)
-    let current = ref start in
-    let scratch = ref (Graph.create n) in
-    let current_cost = ref (evaluate !current) in
-    (* [best] must own its graph: [start]'s buffer enters the double-buffer
-       rotation on the first accept and would be overwritten underneath an
-       aliased best. *)
-    let best = ref (Graph.copy !current) in
-    let best_cost = ref !current_cost in
-    let temperature = ref (settings.initial_temperature *. !current_cost) in
-    for _ = 1 to settings.iterations do
-      let candidate =
-        propose ctx ~into:!scratch !current rng
-          ~node_move_prob:settings.node_move_prob
-      in
-      let cost = evaluate candidate in
-      let delta = cost -. !current_cost in
-      let accept =
-        delta <= 0.0
-        || (!temperature > 0.0 && Prng.float rng < exp (-.delta /. !temperature))
-      in
-      if accept then begin
-        let freed = !current in
-        current := candidate;
-        scratch := freed;
-        current_cost := cost;
-        incr accepted;
-        if cost < !best_cost then begin
-          best := Graph.copy candidate;
-          best_cost := cost
-        end
-      end;
-      temperature := !temperature *. settings.cooling
-    done;
-    { best = !best; best_cost = !best_cost; accepted = !accepted;
-      evaluations = !evaluations }
-  end
+    end;
+    temperature := !temperature *. settings.cooling
+  done;
+  { best = !best; best_cost = !best_cost; accepted = !accepted;
+    evaluations = !evaluations }

@@ -32,7 +32,6 @@ val hill_climb_settings : settings
 (** [initial_temperature = 0]: strictly-improving moves only. *)
 
 val run :
-  ?incremental:bool ->
   ?initial:Cold_graph.Graph.t ->
   settings ->
   Cost.params ->
@@ -45,11 +44,7 @@ val run :
     always connected; the returned best is the cheapest topology ever
     visited, not the final state.
 
-    [incremental] (default [true]) evaluates proposals through the
-    delta-aware engine ({!Cold_net.Incremental}): each candidate's edge
-    flips are applied to persistent evaluation state, committed on accept
-    and rolled back on reject, so only affected shortest-path trees are
-    repaired in place. [false] evaluates every candidate from scratch with
-    {!Cost.evaluate} — the reference the engine is tested against. Both
-    paths are bit-identical — same proposals, same costs, same trajectory,
-    same result — differing only in running time. *)
+    Every proposal is priced from scratch by {!Cost.evaluate}, one
+    evaluation per iteration plus one for the start, so [evaluations] is
+    [iterations + 1]. The current state and the proposal share two graph
+    buffers that swap on accept; only a new best is copied. *)

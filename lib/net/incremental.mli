@@ -1,17 +1,16 @@
 (** Delta-aware cost-evaluation state: repair shortest-path trees in place
     for the sources an edge flip actually affects.
 
-    Simulated annealing ([Cold.Local_search]) spends almost all its time
-    evaluating candidates that differ from the current topology by one or
-    two edges. A full {!Routing.route} rebuilds all [n] shortest-path trees;
-    a single-edge change typically invalidates only a few of them, and
-    within each invalidated tree typically moves only a small frontier.
-    This module keeps the evaluation state of one evolving topology — its
-    graph, per-source trees and load matrix — and repairs each affected
-    tree at flip time: an inserted edge seeds a decrease-key frontier at
-    the improved endpoint; a deleted tree edge cuts the child's subtree and
-    re-settles it from its surviving neighbours; a deleted non-tree edge is
-    proven a no-op.
+    It targets a trajectory of candidates that each differ from the current
+    topology by one or two edges. A full {!Routing.route} rebuilds all [n]
+    shortest-path trees; a single-edge change typically invalidates only a
+    few of them, and within each invalidated tree typically moves only a
+    small frontier. This module keeps the evaluation state of one evolving
+    topology — its graph, per-source trees and load matrix — and repairs
+    each affected tree at flip time: an inserted edge seeds a decrease-key
+    frontier at the improved endpoint; a deleted tree edge cuts the child's
+    subtree and re-settles it from its surviving neighbours; a deleted
+    non-tree edge is proven a no-op.
 
     Repair is attempted only while the tree carries the {e repair
     certificate} ({!Cold_graph.Shortest_path.canonical}: every vertex
@@ -35,8 +34,15 @@
 
     {b Transactions.} Edge flips are journalled. {!commit} makes them
     permanent; {!rollback} restores graph, trees and dirty flags to the last
-    committed state — the propose/evaluate/reject loop of simulated
-    annealing maps onto this directly.
+    committed state — a propose/evaluate/reject loop maps onto this
+    directly.
+
+    {b Clients.} No synthesis path reaches this module: the GA, heuristic
+    seeding and simulated annealing ([Cold.Local_search]) all price
+    candidates with [Cold.Cost.evaluate]. It is reached through
+    [Cold.Cost.state] and [Cold.Cost.evaluate_state] by the end-to-end
+    benchmark's [eval.state_us] and [eval.delta_*] probes, by the bench
+    smoke check's flip trajectory, and by its own tests.
 
     Not thread-safe: one [t] belongs to one domain at a time. Internal
     scratch uses {!Shortest_path.scratch}, so a [t] may migrate

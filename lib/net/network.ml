@@ -9,11 +9,11 @@ type t = {
   capacities : Capacity.t;
 }
 
-let build ?(policy = Capacity.default) ?multipath ctx g =
+let build ?(policy = Capacity.default) ctx g =
   if Graph.node_count g <> Context.n ctx then
     invalid_arg "Network.build: graph size does not match context";
   let length u v = Context.distance ctx u v in
-  let loads = Routing.route ?multipath g ~length ~tm:ctx.Context.tm in
+  let loads = Routing.route g ~length ~tm:ctx.Context.tm in
   { graph = g; context = ctx; loads; capacities = Capacity.assign policy loads }
 
 let link_length net u v = Context.distance net.context u v

@@ -11,15 +11,11 @@ type t = {
 }
 
 val build :
-  ?policy:Capacity.policy ->
-  ?multipath:bool ->
-  Cold_context.Context.t ->
-  Cold_graph.Graph.t ->
-  t
-(** [build ?policy ?multipath ctx g] routes [ctx]'s traffic matrix over [g]
-    (raising {!Routing.Disconnected} if it cannot be carried) and assigns
-    capacities (default policy {!Capacity.default}). [multipath] selects
-    ECMP load balancing (see {!Routing.route}); default single-path. *)
+  ?policy:Capacity.policy -> Cold_context.Context.t -> Cold_graph.Graph.t -> t
+(** [build ?policy ctx g] routes [ctx]'s traffic matrix over [g] on single
+    shortest paths (raising {!Routing.Disconnected} if it cannot be carried)
+    and assigns capacities (default policy {!Capacity.default}). ECMP load
+    balancing is {!Routing.route}'s [~multipath]. *)
 
 val link_length : t -> int -> int -> float
 (** Euclidean length of a (potential) link. *)

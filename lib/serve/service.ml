@@ -122,21 +122,11 @@ let record_time t dt =
 (* --- evaluation --------------------------------------------------------------- *)
 
 let synthesis_config (d : P.design) =
-  let pop = d.P.population in
-  let saved = max 1 (pop / 5) in
-  let crossover = max 1 (pop / 2) in
-  let mutation = max 0 (pop - saved - crossover) in
   {
     (Cold.Synthesis.default_config ~params:d.P.params ()) with
     Cold.Synthesis.ga =
-      {
-        Cold.Ga.default_settings with
-        Cold.Ga.population_size = pop;
-        generations = d.P.generations;
-        num_saved = saved;
-        num_crossover = crossover;
-        num_mutation = mutation;
-      };
+      Cold.Ga.settings_for ~population:d.P.population
+        ~generations:d.P.generations;
     heuristic_permutations = d.P.permutations;
     survivable = d.P.survivable;
     domains = 1;  (* request-level parallelism only: see Server *)

@@ -10,7 +10,8 @@ val max_n : int
 (** Most PoPs in one topology: 2000. *)
 
 val max_count : int
-(** Most designs in one ensemble: 10,000. *)
+(** Most designs in one ensemble, and most ABC trials in one fit (each
+    trial synthesizes one network): 10,000. *)
 
 val max_steps : int
 (** Most steps in one failure trace or growth run: 100,000. It bounds a

@@ -15,7 +15,6 @@ module Context = Cold_context.Context
 module Routing = Cold_net.Routing
 module Incremental = Cold_net.Incremental
 module Cost = Cold.Cost
-module Local_search = Cold.Local_search
 
 let bits = Int64.bits_of_float
 
@@ -475,23 +474,6 @@ let test_indexed_heap_matches_lazy () =
     drain ()
   done
 
-(* --- optimizer equivalence ---------------------------------------------------- *)
-
-let test_local_search_incremental_bitwise () =
-  let ctx = ctx_of 21 12 in
-  let params = Cost.params ~k2:2e-4 () in
-  let settings = { Local_search.default_settings with Local_search.iterations = 600 } in
-  let full = Local_search.run ~incremental:false settings params ctx (Prng.create 22) in
-  let b = Local_search.run settings params ctx (Prng.create 22) in
-  Alcotest.(check bool) "best graph identical" true
-    (Graph.equal full.Local_search.best b.Local_search.best);
-  Alcotest.(check bool) "best cost bit-identical" true
-    (feq_bits full.Local_search.best_cost b.Local_search.best_cost);
-  Alcotest.(check int) "same accepted count" full.Local_search.accepted
-    b.Local_search.accepted;
-  Alcotest.(check int) "same evaluation count" full.Local_search.evaluations
-    b.Local_search.evaluations
-
 let () =
   Alcotest.run "cold_incremental"
     [
@@ -522,10 +504,5 @@ let () =
           Alcotest.test_case "nth_edge matches enumeration" `Quick
             test_nth_edge_matches_enumeration;
           Alcotest.test_case "edge_diff roundtrip" `Quick test_edge_diff_roundtrip;
-        ] );
-      ( "optimizers",
-        [
-          Alcotest.test_case "local search incremental bitwise" `Quick
-            test_local_search_incremental_bitwise;
         ] );
     ]

@@ -82,16 +82,13 @@ let test_ls_disconnected_initial () =
   let ctx = ctx_of 3 10 in
   let params = Cost.params () in
   List.iter
-    (fun (incremental, iterations) ->
+    (fun iterations ->
       let r =
-        Local_search.run ~incremental ~initial:(Graph.create 10)
+        Local_search.run ~initial:(Graph.create 10)
           { Local_search.default_settings with Local_search.iterations }
           params ctx (Prng.create 4)
       in
-      let label what =
-        Printf.sprintf "incremental %b, %d iterations: %s" incremental
-          iterations what
-      in
+      let label what = Printf.sprintf "%d iterations: %s" iterations what in
       Alcotest.(check bool) (label "connected") true
         (Traversal.is_connected r.Local_search.best);
       Alcotest.(check bool) (label "finite cost") true
@@ -100,7 +97,57 @@ let test_ls_disconnected_initial () =
         (Cost.evaluate params ctx r.Local_search.best) r.Local_search.best_cost;
       Alcotest.(check bool) (label "rejects some proposals") true
         (iterations = 0 || r.Local_search.accepted < iterations * 3 / 4))
-    [ (true, 0); (true, 400); (false, 400) ]
+    [ 0; 400 ]
+
+(* The annealer's results, pinned to values recorded when it still had a
+   second loop priced through Cold_net.Incremental; both loops gave these
+   exact values. Any change to the proposal draws, the acceptance rule or
+   the pricing moves some of them. The n = 30 runs use the optimizer
+   ablation's cost parameters and its quick-scale budget (2550 iterations,
+   ~1000x cooling). *)
+let test_ls_pinned () =
+  let ablation ~iterations t =
+    {
+      Local_search.default_settings with
+      Local_search.iterations;
+      initial_temperature = t;
+      cooling = exp (log 1e-3 /. float_of_int iterations);
+    }
+  in
+  let cases =
+    [
+      ( "n = 12, annealing",
+        ctx_of 21 12,
+        Cost.params ~k2:2e-4 (),
+        { Local_search.default_settings with Local_search.iterations = 600 },
+        22,
+        (0x40811eb99190d26cL, 187, 601, 0x34764a549548b1fbL) );
+      ( "n = 30, annealing",
+        ctx_of 31 30,
+        Cost.params ~k2:2e-4 ~k3:10.0 (),
+        ablation ~iterations:2550 0.03,
+        32,
+        (0x409edcc56dedff72L, 606, 2551, 0x3395e0d328deb711L) );
+      ( "n = 30, hill climbing",
+        ctx_of 31 30,
+        Cost.params ~k2:2e-4 ~k3:10.0 (),
+        ablation ~iterations:2550 0.0,
+        33,
+        (0x409e41cae023ad46L, 297, 2551, 0xc62b8d4131fe7793L) );
+    ]
+  in
+  List.iter
+    (fun (label, ctx, params, settings, seed, (cost_bits, accepted, evaluations, fp)) ->
+      let r = Local_search.run settings params ctx (Prng.create seed) in
+      let check what = Printf.sprintf "%s: %s" label what in
+      Alcotest.(check int64) (check "best cost bits") cost_bits
+        (Int64.bits_of_float r.Local_search.best_cost);
+      Alcotest.(check int) (check "accepted") accepted r.Local_search.accepted;
+      Alcotest.(check int) (check "evaluations") evaluations
+        r.Local_search.evaluations;
+      Alcotest.(check int64) (check "best fingerprint") fp
+        (Graph.fingerprint r.Local_search.best))
+    cases
 
 let test_ls_invalid () =
   let ctx = ctx_of 11 8 in
@@ -237,6 +284,7 @@ let () =
           Alcotest.test_case "initial respected" `Quick test_ls_initial_respected;
           Alcotest.test_case "disconnected initial" `Quick
             test_ls_disconnected_initial;
+          Alcotest.test_case "pinned trajectories" `Quick test_ls_pinned;
           Alcotest.test_case "invalid" `Quick test_ls_invalid;
         ] );
       ( "ga_custom",

@@ -92,16 +92,6 @@ let test_ensemble_statistics () =
   Alcotest.(check bool) "ci brackets" true
     (ci.Cold_stats.Bootstrap.lo <= ci.Cold_stats.Bootstrap.hi)
 
-let test_ensemble_progress () =
-  let cfg = quick_config () in
-  let seen = ref [] in
-  let _ =
-    Ensemble.generate
-      ~on_progress:(fun i -> seen := i :: !seen)
-      cfg (Context.default_spec ~n:6) ~count:3 ~seed:13
-  in
-  Alcotest.(check (list int)) "progress callbacks" [ 0; 1; 2 ] (List.rev !seen)
-
 let test_abc_observe () =
   let g = Cold_graph.Builders.star 12 in
   let obs = Abc.observe g in
@@ -205,7 +195,6 @@ let () =
           Alcotest.test_case "generate" `Quick test_ensemble_generate;
           Alcotest.test_case "same context" `Quick test_ensemble_same_context;
           Alcotest.test_case "statistics" `Quick test_ensemble_statistics;
-          Alcotest.test_case "progress" `Quick test_ensemble_progress;
         ] );
       ( "abc",
         [
